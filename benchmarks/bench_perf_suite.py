@@ -23,7 +23,11 @@ Ten sections, re-measured on every run so the numbers never rot:
    warm-started from a :class:`repro.serve.CacheStore` dumped by a previous
    session (fresh ``Profiler`` + store load + run, i.e. exactly what a
    restarted worker pays), plus the store's entry count and on-disk size;
-   the cover must round-trip byte-identically.
+   the cover must round-trip byte-identically.  It also prices the
+   per-level checkpoint tax: a cold run with a store attached (every
+   completed lattice level persisted) against the same cold run on a bare
+   ``Profiler``, interleaved pairs as in sections 8 and 10, asserted
+   ≤ 1.3× in CI.
 6. **HTTP serving** — the ``repro-serve`` stack on a real ephemeral-port
    socket: steady-state requests/sec through upload → discover, and the
    first-request latency of a cold server versus one restarted over a
@@ -73,6 +77,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.perf_common import (
     DEFAULT_OUTPUT,
     machine_info,
+    paired_times,
     render_rows,
     tax_relation,
     time_best,
@@ -216,13 +221,17 @@ def bench_serving(db_size: int, supports: list, workers: int, repeats: int) -> d
 # ---------------------------------------------------------------------- #
 # section 5: persistence — cold vs store-loaded warm start
 # ---------------------------------------------------------------------- #
-def bench_persistence(db_size: int, support: int, repeats: int) -> dict:
+def bench_persistence(db_size: int, support: int, repeats: int, pairs: int) -> dict:
     """Cold vs warm-start wall time of the CTANE end-to-end configuration.
 
     The warm timing includes *everything* a restarted worker pays: creating
     a fresh ``Profiler``, loading the store entries, and serving the run —
     against a cold run that builds every structure from scratch.  The cover
     must round-trip byte-identically through the store.
+
+    The checkpoint tax is the cold run with a store attached — each lattice
+    level ≥ 2 persisted as a checkpoint, cleared on completion — over the
+    same cold run without one: the median of ``pairs`` interleaved ratios.
     """
     import json as json_mod
     import tempfile
@@ -257,6 +266,18 @@ def bench_persistence(db_size: int, support: int, repeats: int) -> dict:
 
         warm_s = time_best(warm, repeats)
 
+        checkpoint_store = CacheStore(Path(tmp) / "checkpoints")
+
+        def store_attached():
+            profiler = Profiler(relation)
+            profiler.attach_store(checkpoint_store)
+            return profiler.run(request)
+
+        bare_times, attached_times, overhead_ratio = paired_times(
+            cold, store_attached, pairs
+        )
+        assert len(checkpoint_store) == 0, "completed runs leave no checkpoint"
+
     cold_rules = json_mod.dumps(cold_result.to_json_dict()["rules"])
     warm_rules = json_mod.dumps(warm_results[-1].to_json_dict()["rules"])
     return {
@@ -269,6 +290,9 @@ def bench_persistence(db_size: int, support: int, repeats: int) -> dict:
         "store_entries": entries,
         "store_bytes": store_bytes,
         "byte_identical_output": cold_rules == warm_rules,
+        "profiler_cold_s": min(bare_times),
+        "store_attached_cold_s": min(attached_times),
+        "checkpoint_overhead_ratio": round(overhead_ratio, 4),
     }
 
 
@@ -735,9 +759,6 @@ def bench_tracing_overhead(db_size: int, support: int, pairs: int) -> dict:
     CTANE is the workload because its per-level spans make it the most
     span-dense instrumented path per unit of work.
     """
-    import gc
-    import statistics
-
     from repro import obs
 
     relation = tax_relation(db_size)
@@ -747,30 +768,15 @@ def bench_tracing_overhead(db_size: int, support: int, pairs: int) -> dict:
     untraced = obs.Tracer(enabled=False)
     sampled_out = obs.Tracer(service="bench", sample_rate=0.0)
 
-    def run(tracer) -> float:
+    def run(tracer) -> None:
         obs.set_tracer(tracer)
-        gc.collect()
-        gc.disable()
-        started = time.perf_counter()
         with tracer.start_trace("repro.bench.request"):
             execute(relation, request)
-        elapsed = time.perf_counter() - started
-        gc.enable()
-        return elapsed
 
-    untraced_times, sampled_out_times, ratios = [], [], []
     try:
-        # ABBA ordering: alternate which side of the pair runs first, so a
-        # monotonic load or thermal drift cancels out of the pair ratios
-        # instead of biasing them all one way.
-        for pair in range(max(9, pairs)):
-            if pair % 2 == 0:
-                off, on = run(untraced), run(sampled_out)
-            else:
-                on, off = run(sampled_out), run(untraced)
-            untraced_times.append(off)
-            sampled_out_times.append(on)
-            ratios.append(on / off)
+        untraced_times, sampled_out_times, ratio = paired_times(
+            lambda: run(untraced), lambda: run(sampled_out), max(9, pairs)
+        )
     finally:
         obs.disable()
     assert len(sampled_out.ring) == 0, "sampled-out tracer must record nothing"
@@ -779,11 +785,11 @@ def bench_tracing_overhead(db_size: int, support: int, pairs: int) -> dict:
         "db_size": db_size,
         "support": support,
         "algorithm": "ctane",
-        "pairs": len(ratios),
+        "pairs": len(untraced_times),
         "untraced_s": min(untraced_times),
         "sampled_out_s": min(sampled_out_times),
-        "overhead_ratio": round(statistics.median(ratios), 4),
-        "overhead_pct": round((statistics.median(ratios) - 1.0) * 100, 2),
+        "overhead_ratio": round(ratio, 4),
+        "overhead_pct": round((ratio - 1.0) * 100, 2),
     }
 
 
@@ -828,7 +834,7 @@ def main(argv=None) -> int:
         serving_db, serving_supports, workers=4, repeats=max(1, repeats - 1)
     )
     persistence = bench_persistence(
-        ablation_db, ablation_k, max(1, repeats - 1)
+        ablation_db, ablation_k, max(1, repeats - 1), pairs=max(9, repeats)
     )
     http_serving = bench_http_serving(
         ablation_db, ablation_k, n_requests=http_requests
@@ -905,7 +911,10 @@ def main(argv=None) -> int:
           f"({persistence['speedup']:.1f}x, store "
           f"{persistence['store_entries']} entries / "
           f"{persistence['store_bytes']} bytes, byte-identical="
-          f"{persistence['byte_identical_output']})")
+          f"{persistence['byte_identical_output']}); store-attached cold "
+          f"{persistence['store_attached_cold_s']:.3f}s vs Profiler-only "
+          f"{persistence['profiler_cold_s']:.3f}s "
+          f"({persistence['checkpoint_overhead_ratio']}x checkpoint overhead)")
     print(f"\nhttp serving (db={http_serving['db_size']}, "
           f"k={http_serving['support']}, ctane over a real socket): "
           f"{http_serving['requests_per_second']} req/s steady-state, "

@@ -9,11 +9,13 @@ single JSON document written to ``BENCH_perf.json`` at the repository root.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -33,6 +35,44 @@ def time_best(fn: Callable[[], object], repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def paired_times(
+    baseline: Callable[[], object], treatment: Callable[[], object], pairs: int
+) -> Tuple[List[float], List[float], float]:
+    """Interleaved back-to-back timings of two callables.
+
+    Returns ``(baseline_times, treatment_times, median per-pair ratio)``.
+    The two runs of a pair share the machine's load conditions, so slow load
+    drift cancels out of each ratio where it would poison a best-of or a
+    pooled median; ABBA ordering (alternating which side runs first) keeps a
+    monotonic drift from biasing every ratio the same way.  The collector
+    runs between timings, never inside one.
+    """
+
+    def timed(fn: Callable[[], object]) -> float:
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            fn()
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
+
+    baseline_times: List[float] = []
+    treatment_times: List[float] = []
+    for pair in range(pairs):
+        if pair % 2 == 0:
+            off, on = timed(baseline), timed(treatment)
+        else:
+            on, off = timed(treatment), timed(baseline)
+        baseline_times.append(off)
+        treatment_times.append(on)
+    ratio = statistics.median(
+        on / off for off, on in zip(baseline_times, treatment_times)
+    )
+    return baseline_times, treatment_times, ratio
 
 
 def tax_relation(db_size: int, arity: int = 7, cf: float = 0.7, seed: int = 3) -> Relation:
@@ -78,6 +118,7 @@ __all__ = [
     "REPO_ROOT",
     "DEFAULT_OUTPUT",
     "time_best",
+    "paired_times",
     "tax_relation",
     "machine_info",
     "write_report",

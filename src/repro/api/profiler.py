@@ -207,7 +207,7 @@ class Profiler:
         #: its mid-run engine checkpoints through (see :meth:`attach_store`).
         self._attached_store: Optional["CacheStore"] = None
         #: In-memory engine checkpoints keyed by canonical params (the
-        #: in-process resume path; the attached store is the durable one).
+        #: in-process resume path; the attached store outlives the process).
         self._checkpoints: Dict[str, Dict] = {}
         self._lock = ranked_lock(RANK_SESSION, "Profiler._lock", reentrant=True)
         # Expensive structures are cached as futures: lookup/insert happens
@@ -430,10 +430,12 @@ class Profiler:
 
         The serving pool attaches its store on admission; one-shot CLI runs
         attach theirs before :meth:`run`.  With a store attached, every
-        lattice level a CTANE run completes is durably checkpointed, so a
-        killed process (crash, deadline, drain, chaos drill) resumes from
-        the last completed level — on this worker or, via a shared cache
-        directory, on the fleet successor a failover lands on.
+        lattice level a CTANE run completes is checkpointed on disk (an
+        atomic rename without ``fsync``: it survives a killed process, not
+        a power loss), so a killed process (crash, deadline, drain, chaos
+        drill) resumes from the last completed level — on this worker or,
+        via a shared cache directory, on the fleet successor a failover
+        lands on.
         """
         with self._lock:
             self._attached_store = store
@@ -917,9 +919,9 @@ class _CTaneCheckpoint:
 
     In-memory state lives on the owning :class:`Profiler` (in-process
     resume after an injected engine error); with a store attached via
-    :meth:`Profiler.attach_store` every save also writes through durably —
+    :meth:`Profiler.attach_store` every save also writes through to it —
     best-effort, because a failing store must degrade the *resume*, never
-    the run.  After the durable save the ``engine.level`` fault point is
+    the run.  After the persisted save the ``engine.level`` fault point is
     visited, so chaos drills kill or fail a run at exactly the moment the
     checkpoint guarantees the completed levels are safe.
     """

@@ -154,7 +154,6 @@ class CTane:
         # with a common constant item reuse one mask instead of recomputing
         # it per candidate during level generation.
         self._column_masks: Dict[Tuple[int, int], np.ndarray] = {}
-        self._all_rows_partition: Optional[Partition] = None
         # Per-attribute code bound (codes are 0..span-1), for the mixed-radix
         # pairing of refine_by_column.
         self._column_spans: List[int] = [
@@ -209,15 +208,6 @@ class CTane:
             if len(self._column_masks) < self._MASK_CACHE_LIMIT:
                 self._column_masks[key] = mask
         return mask
-
-    def _empty_pattern_partition(self) -> Partition:
-        """``Π(∅, ())``: every row in one class."""
-        if self._all_rows_partition is None:
-            if self._session is not None:
-                self._all_rows_partition = self._session.attribute_partition(())
-            else:
-                self._all_rows_partition = attribute_partition(self._matrix, [])
-        return self._all_rows_partition
 
     def _single_partition(self, attribute: int, code: PatternCode) -> Partition:
         """``Π({A}, (code,))``, the partition of one level-1 element.
@@ -295,14 +285,16 @@ class CTane:
 
     @staticmethod
     def _cfd_valid_partition(
-        lhs_partition: Partition,
+        lhs_counts: Tuple[int, int],
         element_partition: Partition,
         rhs_code: PatternCode,
     ) -> bool:
         """Validity as O(1) count comparisons on cached pattern partitions.
 
-        ``lhs_partition`` is ``Π(X \\ {A}, sp')`` and ``element_partition``
-        the element's own ``Π(X, sp)``.
+        ``lhs_counts`` is ``(covered_rows, n_classes)`` of ``Π(X \\ {A}, sp')``
+        and ``element_partition`` the element's own ``Π(X, sp)``.  Only these
+        two counts of the LHS partition are ever read, so the previous
+        level's table (and its checkpoint) keeps nothing else.
 
         * Wildcard RHS: both partitions cover the same rows (they share the
           constants), and the element refines the LHS by additionally
@@ -314,9 +306,10 @@ class CTane:
           the covered-row counts agree.  (The plain class-count comparison is
           *not* sound here, see DESIGN.md — the covered counts are.)
         """
+        lhs_covered, lhs_classes = lhs_counts
         if not is_wildcard(rhs_code):
-            return lhs_partition.covered_rows == element_partition.covered_rows
-        return lhs_partition.n_classes == element_partition.n_classes
+            return lhs_covered == element_partition.covered_rows
+        return lhs_classes == element_partition.n_classes
 
     # ------------------------------------------------------------------ #
     def _decode_cfd(
@@ -413,12 +406,8 @@ class CTane:
             size = int(state["size"])
             level: List[Element] = list(state["level"])
             parent_cplus: Dict[Element, Set[CandidateItem]] = state["parent_cplus"]
-            parent_partitions: Dict[Element, Partition] = state.get(
-                "parent_partitions", {}
-            )
-            level_partitions: Dict[Element, Partition] = state.get(
-                "level_partitions", {}
-            )
+            parent_counts: Dict[Element, Tuple[int, int]] = state["parent_counts"]
+            level_partitions: Dict[Element, Partition] = state["level_partitions"]
             results = list(state["results"])
             counters = state.get("counters", {})
             self.candidates_checked += int(counters.get("candidates_checked", 0))
@@ -436,10 +425,11 @@ class CTane:
                 base_candidates.add((attrs[0], pattern[0]))
             parent_cplus = {empty_element: base_candidates}
 
-            parent_partitions = {}
+            parent_counts = {}
             level_partitions = {}
             if incremental:
-                parent_partitions[empty_element] = self._empty_pattern_partition()
+                # Π(∅, ()): every row in one class (n_rows ≥ min_support ≥ 1).
+                parent_counts[empty_element] = (self._n_rows, 1)
                 for element in level:
                     level_partitions[element] = self._single_partition(
                         element[0][0], element[1][0]
@@ -460,20 +450,18 @@ class CTane:
                     and size > 1
                     and size != self.resumed_level
                 ):
-                    # Snapshot the frontier *before* processing the level: every
-                    # container step 2 mutates is copied, so the saved state is
-                    # exactly what a resumed run needs to replay this level.
+                    # Snapshot the frontier *before* processing the level.  The
+                    # level, the parent tables and the level partitions are
+                    # rebound, never mutated, once built; only the results
+                    # list grows in place, so it alone is copied.
                     self._checkpoint.save(
                         {
                             "size": size,
                             "incremental": incremental,
-                            "level": list(level),
-                            "parent_cplus": {
-                                element: set(items)
-                                for element, items in parent_cplus.items()
-                            },
-                            "parent_partitions": dict(parent_partitions),
-                            "level_partitions": dict(level_partitions),
+                            "level": level,
+                            "parent_cplus": parent_cplus,
+                            "parent_counts": parent_counts,
+                            "level_partitions": level_partitions,
                             "results": list(results),
                             "counters": {
                                 "candidates_checked": self.candidates_checked,
@@ -508,9 +496,9 @@ class CTane:
                         self.candidates_checked += 1
                         if incremental:
                             # The LHS element is an immediate sub-element, so its
-                            # partition is cached in the previous level's table.
+                            # counts are in the previous level's table.
                             valid = self._cfd_valid_partition(
-                                parent_partitions[(lhs_attrs, lhs_pattern)],
+                                parent_counts[(lhs_attrs, lhs_pattern)],
                                 level_partitions[element],
                                 rhs_code,
                             )
@@ -644,7 +632,10 @@ class CTane:
                 self.elements_generated += len(next_level)
                 parent_cplus = cplus
                 if incremental:
-                    parent_partitions = level_partitions
+                    parent_counts = {
+                        element: (partition.covered_rows, partition.n_classes)
+                        for element, partition in level_partitions.items()
+                    }
                     level_partitions = next_partitions
                 level = sorted(next_level, key=self._generality_rank)
                 size += 1

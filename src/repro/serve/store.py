@@ -66,9 +66,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro import obs
+from repro.core.cfd import CFD
+from repro.core.pattern import WILDCARD
 from repro.devtools.lockcheck import check_io_unlocked
 from repro.exceptions import CacheStoreError
 from repro.obs.names import SPAN_STORE_GET, SPAN_STORE_PUT
+from repro.relational.partition import Partition
 from repro.serve.faults import (
     FAULT_POINT_STORE_GET,
     FAULT_POINT_STORE_PUT,
@@ -451,19 +454,22 @@ class CacheStore:
             raise CacheStoreError("entry params do not match the requested params")
 
     def load_all(self, fingerprint: str) -> List[StoreEntry]:
-        """Every readable entry of one relation, in warm-load kind order.
+        """Every readable warm-load entry of one relation, in kind order.
 
-        Corrupt/mismatched entries are counted in :attr:`load_failures` and
-        silently skipped — a damaged store degrades to a cold start, never to
-        a crash.
+        Only the kinds of :data:`KIND_ORDER` are read: the ``{kind}-``
+        file-name prefix filters out in-progress temp files and the entries
+        fetched by key instead (CTANE checkpoints) before any byte of them is
+        read.  Corrupt/mismatched entries are counted in
+        :attr:`load_failures` and silently skipped — a damaged store degrades
+        to a cold start, never to a crash.
         """
         directory = self._root / fingerprint
         if not directory.is_dir():
             return []
         entries: List[StoreEntry] = []
         for path in sorted(directory.glob(f"*{self._SUFFIX}")):
-            if path.name.startswith("."):
-                continue  # in-progress temp files
+            if path.name.rpartition("-")[0] not in KIND_ORDER:
+                continue
             try:
                 entry = self._load_path(path)
             except CacheStoreError as exc:
@@ -886,70 +892,74 @@ def unpack_free_closed(entry: StoreEntry):
 # ---------------------------------------------------------------------- #
 # pack/unpack: partition bundles
 # ---------------------------------------------------------------------- #
+def _pack_partitions(partitions: Iterable[Partition]) -> Dict[str, np.ndarray]:
+    """The ``rows``/``labels``/``offsets``/``shapes`` buffers of a partition
+    sequence: the compressed covered form of every partition (sorted int64
+    row indices plus int32 class labels) concatenated, and one
+    ``[n_rows, n_classes, size]`` int64 row per partition."""
+    partitions = list(partitions)
+    rows = [partition.covered_index for partition in partitions]
+    labels = [partition.covered_labels for partition in partitions]
+    shapes = [(p.n_rows, p.n_classes, p.size) for p in partitions]
+    return {
+        "rows": np.concatenate([np.empty(0, dtype=np.int64)] + rows).astype(
+            np.int64, copy=False
+        ),
+        "labels": np.concatenate([np.empty(0, dtype=np.int32)] + labels).astype(
+            np.int32, copy=False
+        ),
+        "offsets": np.cumsum([0] + [chunk.size for chunk in rows], dtype=np.int64),
+        "shapes": np.array(shapes, dtype=np.int64).reshape(-1, 3),
+    }
+
+
+def _unpack_partitions(
+    rows: np.ndarray, labels: np.ndarray, offsets: np.ndarray, shapes: np.ndarray
+) -> List[Partition]:
+    """Inverse of :func:`_pack_partitions` (views into the entry buffers)."""
+    if rows.size != labels.size:
+        raise CacheStoreError("partition bundle rows/labels length mismatch")
+    if offsets.size != len(shapes) + 1:
+        raise CacheStoreError("partition bundle manifest mismatch")
+    bounds = offsets.tolist()
+    if bounds[0] < 0 or bounds[-1] > rows.size or bounds != sorted(bounds):
+        raise CacheStoreError("partition bundle offsets out of range")
+    return [
+        Partition.from_covered(
+            rows[lo:hi], labels[lo:hi], n_rows, n_classes, size=size
+        )
+        for lo, hi, (n_rows, n_classes, size) in zip(
+            bounds, bounds[1:], shapes.tolist()
+        )
+    ]
+
+
 def pack_partition_bundle(
     items: Sequence[Tuple[object, "object"]]
 ) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """``(meta, arrays)`` of ``[(json_key, Partition), ...]``.
 
-    The compressed covered form of every partition (sorted int64 row indices
-    plus int32 class labels) is concatenated into two buffers; the keys and
-    per-partition counts ride in the meta.
+    The partitions go into the buffers of :func:`_pack_partitions`; the keys
+    and per-partition counts ride in the meta.
     """
-    keys = []
-    shapes = []
-    row_chunks: List[np.ndarray] = []
-    label_chunks: List[np.ndarray] = []
-    offsets = [0]
-    for key, partition in items:
-        keys.append(key)
-        shapes.append(
-            [int(partition.n_rows), int(partition.n_classes), int(partition.size)]
-        )
-        rows = np.asarray(partition.covered_index, dtype=np.int64)
-        row_chunks.append(rows)
-        label_chunks.append(np.asarray(partition.covered_labels, dtype=np.int32))
-        offsets.append(offsets[-1] + int(rows.size))
-    meta = {"keys": keys, "shapes": shapes}
-    arrays = {
-        "rows": np.concatenate(row_chunks)
-        if row_chunks
-        else np.empty(0, dtype=np.int64),
-        "labels": np.concatenate(label_chunks)
-        if label_chunks
-        else np.empty(0, dtype=np.int32),
-        "offsets": np.asarray(offsets, dtype=np.int64),
-    }
+    arrays = _pack_partitions(partition for _, partition in items)
+    meta = {"keys": [key for key, _ in items], "shapes": arrays.pop("shapes").tolist()}
     return meta, arrays
 
 
 def unpack_partition_bundle(entry: StoreEntry) -> List[Tuple[object, "object"]]:
     """Rebuild ``[(json_key, Partition), ...]`` from a bundle entry."""
-    from repro.relational.partition import Partition
-
-    rows = entry.array("rows", "int64")
-    labels = entry.array("labels", "int32")
-    offsets = entry.array("offsets", "int64")
     keys = entry.meta["keys"]
     shapes = entry.meta["shapes"]
-    if rows.size != labels.size:
-        raise CacheStoreError("partition bundle rows/labels length mismatch")
-    if offsets.size != len(keys) + 1 or len(shapes) != len(keys):
+    if len(shapes) != len(keys):
         raise CacheStoreError("partition bundle manifest mismatch")
-    out = []
-    for index, key in enumerate(keys):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        if not 0 <= lo <= hi <= rows.size:
-            raise CacheStoreError("partition bundle offsets out of range")
-        n_rows, n_classes, size = (int(v) for v in shapes[index])
-        out.append(
-            (
-                key,
-                Partition.from_covered(
-                    rows[lo:hi], labels[lo:hi], n_rows, n_classes, size=size
-                ),
-            )
-        )
-    return out
+    partitions = _unpack_partitions(
+        entry.array("rows", "int64"),
+        entry.array("labels", "int32"),
+        entry.array("offsets", "int64"),
+        np.asarray(shapes, dtype=np.int64).reshape(-1, 3),
+    )
+    return list(zip(keys, partitions))
 
 
 # ---------------------------------------------------------------------- #
@@ -989,46 +999,50 @@ def unpack_query_cache(meta: Dict) -> List[Tuple[int, frozenset, Set[frozenset]]
 # ---------------------------------------------------------------------- #
 # pack/unpack: engine results (canonical covers + stats)
 # ---------------------------------------------------------------------- #
-def _pack_pattern_value(value: object) -> Optional[List]:
-    """``[0, constant]`` / ``[1, None]`` (wildcard); ``None`` if not storable."""
-    from repro.core.pattern import is_wildcard
-
-    if is_wildcard(value):
-        return [1, None]
-    if not is_json_scalar(value):
-        return None
-    return [0, value]
-
-
 def _unpack_pattern_value(spec: Sequence) -> object:
-    from repro.core.pattern import WILDCARD
-
     flag, value = spec
     return WILDCARD if flag else value
+
+
+def _pack_rules(cfds) -> Optional[List[Dict]]:
+    """JSON rules of a CFD sequence — pattern values as ``[0, constant]`` or
+    ``[1, None]`` (wildcard) — or ``None`` if any value would not survive a
+    JSON round trip byte-identically."""
+    rules = []
+    for cfd in cfds:
+        values = (*cfd.lhs_pattern, cfd.rhs_pattern)
+        if not all(value is WILDCARD or is_json_scalar(value) for value in values):
+            return None
+        packed = [[1, None] if value is WILDCARD else [0, value] for value in values]
+        rules.append(
+            {
+                "lhs": list(cfd.lhs),
+                "lhs_pattern": packed[:-1],
+                "rhs": cfd.rhs,
+                "rhs_pattern": packed[-1],
+            }
+        )
+    return rules
+
+
+def _unpack_rules(rules: Sequence[Dict]) -> List[CFD]:
+    return [
+        CFD(
+            tuple(rule["lhs"]),
+            tuple(_unpack_pattern_value(v) for v in rule["lhs_pattern"]),
+            rule["rhs"],
+            _unpack_pattern_value(rule["rhs_pattern"]),
+        )
+        for rule in rules
+    ]
 
 
 def pack_engine_result(cfds, stats) -> Optional[Dict]:
     """Meta payload of one cached engine run, or ``None`` if any pattern
     value would not survive a JSON round trip byte-identically."""
-    rules = []
-    for cfd in cfds:
-        lhs_pattern = []
-        for value in cfd.lhs_pattern:
-            packed = _pack_pattern_value(value)
-            if packed is None:
-                return None
-            lhs_pattern.append(packed)
-        rhs_pattern = _pack_pattern_value(cfd.rhs_pattern)
-        if rhs_pattern is None:
-            return None
-        rules.append(
-            {
-                "lhs": list(cfd.lhs),
-                "lhs_pattern": lhs_pattern,
-                "rhs": cfd.rhs,
-                "rhs_pattern": rhs_pattern,
-            }
-        )
+    rules = _pack_rules(cfds)
+    if rules is None:
+        return None
     counters = {
         name: getattr(stats, name)
         for name in stats._COUNTERS
@@ -1050,18 +1064,8 @@ def pack_engine_result(cfds, stats) -> Optional[Dict]:
 def unpack_engine_result(meta: Dict):
     """Rebuild ``(cfds, stats)`` from a persisted engine-result entry."""
     from repro.api.result import AlgorithmStats
-    from repro.core.cfd import CFD
 
-    cfds = []
-    for rule in meta["rules"]:
-        cfds.append(
-            CFD(
-                tuple(rule["lhs"]),
-                tuple(_unpack_pattern_value(v) for v in rule["lhs_pattern"]),
-                rule["rhs"],
-                _unpack_pattern_value(rule["rhs_pattern"]),
-            )
-        )
+    cfds = _unpack_rules(meta["rules"])
     spec = meta["stats"]
     stats = AlgorithmStats(
         algorithm=spec.get("algorithm", ""),
@@ -1072,33 +1076,36 @@ def unpack_engine_result(meta: Dict):
 
 
 # ---------------------------------------------------------------------- #
-# pack/unpack: CTANE checkpoints (mid-run lattice frontiers)
+# pack/unpack: CTANE checkpoints (mid-run lattice frontiers), columnar
 # ---------------------------------------------------------------------- #
-def _pack_code(code: object) -> List:
-    """``[1, None]`` for the wildcard, ``[0, int]`` for a constant code."""
-    from repro.core.pattern import is_wildcard
-
-    return [1, None] if is_wildcard(code) else [0, int(code)]
-
-
-def _unpack_code(spec: Sequence) -> object:
-    from repro.core.pattern import WILDCARD
-
-    flag, value = spec
-    return WILDCARD if flag else int(value)
-
-
-def _pack_element(element: Tuple) -> List:
-    attrs, pattern = element
-    return [[int(a) for a in attrs], [_pack_code(code) for code in pattern]]
-
-
-def _unpack_element(spec: Sequence) -> Tuple:
-    attrs, pattern = spec
-    return (
-        tuple(int(a) for a in attrs),
-        tuple(_unpack_code(code) for code in pattern),
+def _codes(values: Iterable[object]) -> np.ndarray:
+    """int32 pattern codes, -1 for the wildcard."""
+    return np.array(
+        [-1 if value is WILDCARD else value for value in values], dtype=np.int32
     )
+
+
+def _decode(code: int) -> object:
+    return WILDCARD if code < 0 else code
+
+
+def _element_matrices(elements: Sequence[Tuple], width: int) -> Tuple[np.ndarray, ...]:
+    """``(attrs, codes)`` int32 matrices ``[n, width]`` of lattice elements
+    that all have ``width`` attributes."""
+    attrs = np.array(
+        [attr for element in elements for attr in element[0]], dtype=np.int32
+    )
+    codes = _codes(code for element in elements for code in element[1])
+    return attrs.reshape(-1, width), codes.reshape(-1, width)
+
+
+def _elements(attrs: np.ndarray, codes: np.ndarray) -> List[Tuple]:
+    if attrs.shape != codes.shape or attrs.ndim != 2:
+        raise CacheStoreError("checkpoint element matrices disagree")
+    return [
+        (tuple(row), tuple(map(_decode, pattern)))
+        for row, pattern in zip(attrs.tolist(), codes.tolist())
+    ]
 
 
 def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndarray]]]:
@@ -1106,111 +1113,97 @@ def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndar
     the already-emitted CFDs carry values that would not survive a JSON
     round trip byte-identically (then the run simply is not checkpointable).
 
-    The state is the engine's loop frontier at the top of one lattice level:
-    the level's elements, the previous level's candidate-RHS sets and (in
-    incremental mode) pattern partitions, the current level's partitions,
-    the results so far, and the traversal counters.
+    The state is the engine's loop frontier at the top of lattice level
+    ``size``.  Every element of a level has ``size`` attributes, so the
+    layout is columnar: the level is a ``level_attrs``/``level_codes`` int32
+    matrix pair ``[n, size]`` (-1 codes the wildcard), the previous level
+    the same ``parent_*`` pair ``[m, size - 1]`` plus its
+    ``(covered_rows, n_classes)`` rows in ``parent_counts`` and its
+    candidate-RHS sets as flat ``cplus_attrs``/``cplus_codes`` split by
+    ``cplus_offsets``.  The level's partitions (incremental mode) are a
+    ``level_*`` partition bundle in level order, row indices as int32.  The
+    JSON meta holds only scalars, counters and the rules emitted so far.
     """
-    rules = []
-    for cfd in state["results"]:
-        lhs_pattern = []
-        for value in cfd.lhs_pattern:
-            packed = _pack_pattern_value(value)
-            if packed is None:
-                return None
-            lhs_pattern.append(packed)
-        rhs_pattern = _pack_pattern_value(cfd.rhs_pattern)
-        if rhs_pattern is None:
-            return None
-        rules.append(
-            {
-                "lhs": list(cfd.lhs),
-                "lhs_pattern": lhs_pattern,
-                "rhs": cfd.rhs,
-                "rhs_pattern": rhs_pattern,
-            }
-        )
-    cplus = [
-        [
-            _pack_element(element),
-            sorted([int(attr), _pack_code(code)] for attr, code in items),
-        ]
-        for element, items in state["parent_cplus"].items()
-    ]
-    meta: Dict[str, object] = {
-        "size": int(state["size"]),
-        "incremental": bool(state["incremental"]),
-        "level": [_pack_element(element) for element in state["level"]],
-        "parent_cplus": cplus,
-        "rules": rules,
-        "counters": {
-            key: int(value) for key, value in state["counters"].items()
-        },
-    }
+    rules = _pack_rules(state["results"])
+    if rules is None:
+        return None
+    size, incremental = int(state["size"]), bool(state["incremental"])
+    level, parent_cplus = state["level"], state["parent_cplus"]
+    parents = list(parent_cplus)
     arrays: Dict[str, np.ndarray] = {}
-    for prefix, key in (("p", "parent_partitions"), ("l", "level_partitions")):
-        items = [
-            (_pack_element(element), partition)
-            for element, partition in state.get(key, {}).items()
-        ]
-        bundle_meta, bundle_arrays = pack_partition_bundle(items)
-        meta[f"{prefix}_keys"] = bundle_meta["keys"]
-        meta[f"{prefix}_shapes"] = bundle_meta["shapes"]
-        for name, array in bundle_arrays.items():
-            arrays[f"{prefix}_{name}"] = array
+    arrays["level_attrs"], arrays["level_codes"] = _element_matrices(level, size)
+    arrays["parent_attrs"], arrays["parent_codes"] = _element_matrices(
+        parents, size - 1
+    )
+    counts = state["parent_counts"]
+    arrays["parent_counts"] = np.array(
+        [counts[parent] for parent in parents] if incremental else [], dtype=np.int64
+    ).reshape(-1, 2)
+    candidate_sets = list(parent_cplus.values())
+    items = [item for candidates in candidate_sets for item in candidates]
+    arrays["cplus_attrs"] = np.array([attr for attr, _ in items], dtype=np.int32)
+    arrays["cplus_codes"] = _codes(code for _, code in items)
+    arrays["cplus_offsets"] = np.cumsum(
+        [0] + [len(candidates) for candidates in candidate_sets], dtype=np.int64
+    )
+    partitions = state["level_partitions"]
+    bundle = _pack_partitions(partitions[e] for e in (level if incremental else ()))
+    # Row indices of one relation fit int32: a third fewer bytes per level.
+    bundle["rows"] = bundle["rows"].astype(np.int32)
+    arrays.update((f"level_{name}", array) for name, array in bundle.items())
+    meta = {
+        "size": size,
+        "incremental": incremental,
+        "rules": rules,
+        "counters": {key: int(value) for key, value in state["counters"].items()},
+    }
     return meta, arrays
 
 
 def unpack_ctane_checkpoint(entry: StoreEntry) -> Dict:
-    """Rebuild a CTANE checkpoint state dict from a persisted entry."""
-    from repro.core.cfd import CFD
+    """Rebuild a CTANE checkpoint state dict from a persisted entry.
 
-    results = []
-    for rule in entry.meta["rules"]:
-        results.append(
-            CFD(
-                tuple(rule["lhs"]),
-                tuple(_unpack_pattern_value(v) for v in rule["lhs_pattern"]),
-                rule["rhs"],
-                _unpack_pattern_value(rule["rhs_pattern"]),
-            )
+    An entry of any other layout misses a field or an array and raises;
+    the caller treats that like any bad checkpoint and starts cold.
+    """
+    incremental = bool(entry.meta["incremental"])
+    level = _elements(
+        entry.array("level_attrs", "int32"), entry.array("level_codes", "int32")
+    )
+    parents = _elements(
+        entry.array("parent_attrs", "int32"), entry.array("parent_codes", "int32")
+    )
+    bounds = entry.array("cplus_offsets", "int64").tolist()
+    items = list(
+        zip(
+            entry.array("cplus_attrs", "int32").tolist(),
+            map(_decode, entry.array("cplus_codes", "int32").tolist()),
         )
-    parent_cplus = {
-        _unpack_element(element): {
-            (int(attr), _unpack_code(code)) for attr, code in items
-        }
-        for element, items in entry.meta["parent_cplus"]
-    }
-    state: Dict[str, object] = {
+    )
+    if len(bounds) != len(parents) + 1 or bounds[-1] != len(items):
+        raise CacheStoreError("checkpoint candidate sets do not match the parents")
+    counts = entry.array("parent_counts", "int64").tolist()
+    partitions = _unpack_partitions(
+        entry.array("level_rows", "int32").astype(np.int64),
+        entry.array("level_labels", "int32"),
+        entry.array("level_offsets", "int64"),
+        entry.array("level_shapes", "int64"),
+    )
+    if incremental and (len(counts) != len(parents) or len(partitions) != len(level)):
+        raise CacheStoreError("checkpoint partitions do not match the elements")
+    return {
         "size": int(entry.meta["size"]),
-        "incremental": bool(entry.meta["incremental"]),
-        "level": [_unpack_element(element) for element in entry.meta["level"]],
-        "parent_cplus": parent_cplus,
-        "results": results,
-        "counters": {
-            key: int(value) for key, value in entry.meta["counters"].items()
+        "incremental": incremental,
+        "level": level,
+        "parent_cplus": {
+            parent: set(items[lo:hi])
+            for parent, lo, hi in zip(parents, bounds, bounds[1:])
         },
+        "parent_counts": {parent: tuple(pair) for parent, pair in zip(parents, counts)},
+        "level_partitions": dict(zip(level, partitions)),
+        "results": _unpack_rules(entry.meta["rules"]),
+        "counters": {key: int(value) for key, value in entry.meta["counters"].items()},
     }
-    for prefix, key in (("p", "parent_partitions"), ("l", "level_partitions")):
-        bundle = StoreEntry(
-            fingerprint=entry.fingerprint,
-            kind=entry.kind,
-            params=entry.params,
-            meta={
-                "keys": entry.meta[f"{prefix}_keys"],
-                "shapes": entry.meta[f"{prefix}_shapes"],
-            },
-            arrays={
-                "rows": entry.array(f"{prefix}_rows", "int64"),
-                "labels": entry.array(f"{prefix}_labels", "int32"),
-                "offsets": entry.array(f"{prefix}_offsets", "int64"),
-            },
-        )
-        state[key] = {
-            _unpack_element(packed): partition
-            for packed, partition in unpack_partition_bundle(bundle)
-        }
-    return state
 
 
 __all__ = [

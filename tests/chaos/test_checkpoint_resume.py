@@ -13,10 +13,18 @@ import pytest
 
 from repro.api import DiscoveryRequest, Profiler
 from repro.core.ctane import CTane
+from repro.core.pattern import is_wildcard
+from repro.datagen import generate_tax
 from repro.relational.relation import Relation
 from repro.serve import CacheStore, DiscoveryService, FaultPlan, SessionPool
 from repro.serve.faults import FaultInjected
-from repro.serve.store import pack_ctane_checkpoint, unpack_ctane_checkpoint
+from repro.serve.store import (
+    KIND_ATTRIBUTE_PARTITIONS,
+    KIND_CTANE_CHECKPOINT,
+    pack_ctane_checkpoint,
+    pack_partition_bundle,
+    unpack_ctane_checkpoint,
+)
 
 ATTRIBUTES = ["CC", "AC", "PN", "NM", "STR", "CT", "ZIP"]
 ROWS = [
@@ -55,6 +63,13 @@ class RecordingCheckpoint:
 
 def cover(cfds) -> str:
     return json.dumps(sorted(str(cfd) for cfd in cfds))
+
+
+def checkpoint_files(store, relation):
+    """The CTANE checkpoint entries on disk for one relation (``load_all``
+    reads only the warm-load kinds, so it never returns these)."""
+    directory = store.root / relation.fingerprint()
+    return sorted(directory.glob(f"{KIND_CTANE_CHECKPOINT}-*.rpc"))
 
 
 class TestEngineCheckpointing:
@@ -143,6 +158,186 @@ class TestCheckpointSerialization:
         assert cover(resumed.discover()) == baseline
 
 
+def tax_relation() -> Relation:
+    return generate_tax(200, arity=7, seed=11)
+
+
+TAX_SUPPORT = 20
+
+
+class TestColumnarCheckpoints:
+    """Every level's snapshot of a 200-row Tax run, through a real store."""
+
+    def test_every_level_round_trips_and_resumes_byte_identically(self, tmp_path):
+        recorder = RecordingCheckpoint()
+        expected = cover(
+            CTane(tax_relation(), TAX_SUPPORT, checkpoint=recorder).discover()
+        )
+        assert len(recorder.saved) >= 4
+        store = CacheStore(tmp_path / "cache")
+        for index, state in enumerate(recorder.saved):
+            meta, arrays = pack_ctane_checkpoint(state)
+            params = {"level": index}
+            store.put("fp", KIND_CTANE_CHECKPOINT, params, meta=meta, arrays=arrays)
+            entry = store.get("fp", KIND_CTANE_CHECKPOINT, params)
+            # The frontier lives in the arrays; the JSON meta carries only
+            # scalars, counters and the rules emitted so far.
+            assert set(entry.meta) == {"size", "incremental", "rules", "counters"}
+            assert len(entry.meta["rules"]) == len(state["results"])
+            assert entry.array("level_attrs", "int32").shape == (
+                len(state["level"]),
+                state["size"],
+            )
+            restored = unpack_ctane_checkpoint(entry)
+            assert restored["size"] == state["size"]
+            assert restored["counters"] == state["counters"]
+            assert restored["level"] == state["level"]
+            assert restored["parent_cplus"] == state["parent_cplus"]
+            assert restored["parent_counts"] == state["parent_counts"]
+            twins = restored["level_partitions"]
+            assert twins.keys() == state["level_partitions"].keys()
+            for element, partition in state["level_partitions"].items():
+                twin = twins[element]
+                assert (twin.covered_rows, twin.n_classes) == (
+                    partition.covered_rows,
+                    partition.n_classes,
+                )
+                assert twin.covered_index.tolist() == partition.covered_index.tolist()
+                assert twin.covered_labels.tolist() == partition.covered_labels.tolist()
+
+            resumed = CTane(
+                tax_relation(),
+                TAX_SUPPORT,
+                checkpoint=RecordingCheckpoint(preload=restored),
+            )
+            assert cover(resumed.discover()) == expected
+            assert resumed.resumed_level == state["size"]
+
+
+def old_layout_entry(state, parent_partitions):
+    """``(meta, arrays)`` of ``state`` in the per-element layout the store
+    wrote before the columnar one (elements and candidate sets as JSON
+    lists, both partition tables as bundles)."""
+
+    def code(value):
+        return [1, None] if is_wildcard(value) else [0, int(value)]
+
+    def element(value):
+        attrs, pattern = value
+        return [list(attrs), [code(v) for v in pattern]]
+
+    meta = {
+        "size": state["size"],
+        "incremental": state["incremental"],
+        "level": [element(e) for e in state["level"]],
+        "parent_cplus": [
+            [element(e), sorted([attr, code(c)] for attr, c in items)]
+            for e, items in state["parent_cplus"].items()
+        ],
+        "rules": [],
+        "counters": dict(state["counters"]),
+    }
+    arrays = {}
+    for prefix, table in (
+        ("p", parent_partitions),
+        ("l", state["level_partitions"]),
+    ):
+        bundle_meta, bundle_arrays = pack_partition_bundle(
+            [(element(e), partition) for e, partition in table.items()]
+        )
+        meta[f"{prefix}_keys"] = bundle_meta["keys"]
+        meta[f"{prefix}_shapes"] = bundle_meta["shapes"]
+        for name, array in bundle_arrays.items():
+            arrays[f"{prefix}_{name}"] = array
+    return meta, arrays
+
+
+class TestCheckpointStoreLifecycle:
+    REQUEST = DiscoveryRequest(min_support=TAX_SUPPORT, algorithm="ctane")
+    PARAMS = {
+        "min_support": TAX_SUPPORT,
+        "max_lhs_size": None,
+        "cplus_pruning": True,
+        "incremental_partitions": True,
+        "verify_minimality": False,
+    }
+
+    def crash(self, store):
+        plan = FaultPlan.from_specs(["engine.level:error:after=1,times=1"])
+        victim = Profiler(tax_relation(), faults=plan)
+        victim.attach_store(store)
+        with pytest.raises(FaultInjected):
+            victim.run(self.REQUEST)
+
+    def rules(self, result):
+        return json.dumps(result.to_json_dict()["rules"])
+
+    def test_a_completed_run_leaves_no_checkpoint(self, tmp_path):
+        store = CacheStore(tmp_path / "cache")
+        profiler = Profiler(tax_relation())
+        profiler.attach_store(store)
+        profiler.run(self.REQUEST)
+        assert store.writes >= 4  # one checkpoint per level ≥ 2 was written
+        assert checkpoint_files(store, tax_relation()) == []
+
+    def test_a_stopped_run_leaves_exactly_one(self, tmp_path):
+        store = CacheStore(tmp_path / "cache")
+        self.crash(store)
+        assert store.writes == 2  # levels 2 and 3, overwriting one entry
+        assert len(checkpoint_files(store, tax_relation())) == 1
+
+    def test_an_old_layout_entry_makes_the_next_run_cold(self, tmp_path):
+        expected = self.rules(Profiler(tax_relation()).run(self.REQUEST))
+        store = CacheStore(tmp_path / "cache")
+        self.crash(store)
+        [written] = checkpoint_files(store, tax_relation())
+
+        recorder = RecordingCheckpoint()
+        CTane(tax_relation(), TAX_SUPPORT, checkpoint=recorder).discover()
+        meta, arrays = old_layout_entry(
+            recorder.saved[1], recorder.saved[0]["level_partitions"]
+        )
+        fingerprint = tax_relation().fingerprint()
+        path = store.put(
+            fingerprint, KIND_CTANE_CHECKPOINT, self.PARAMS, meta=meta, arrays=arrays
+        )
+        assert path == written  # it replaced the entry the engine would load
+        entry = store.get(fingerprint, KIND_CTANE_CHECKPOINT, self.PARAMS)
+        with pytest.raises(Exception):
+            unpack_ctane_checkpoint(entry)
+
+        survivor = Profiler(tax_relation())
+        survivor.attach_store(store)
+        result = survivor.run(self.REQUEST)
+        assert self.rules(result) == expected
+        assert result.stats.extras["resume_levels_skipped"] == 0
+        assert "resumed_level" not in result.stats.extras
+        assert checkpoint_files(store, tax_relation()) == []
+
+    def test_warm_from_skips_the_checkpoint_which_stays_resumable(self, tmp_path):
+        root = tmp_path / "cache"
+        relation = tax_relation()
+        self.crash(CacheStore(root))
+        meta, arrays = pack_partition_bundle(
+            [([0], Profiler(relation).attribute_partition((0,)))]
+        )
+        CacheStore(root).put(
+            relation.fingerprint(), KIND_ATTRIBUTE_PARTITIONS, {},
+            meta=meta, arrays=arrays,
+        )
+
+        store = CacheStore(root)
+        assert Profiler(relation).warm_from(store) == 1
+        assert store.loads == 1  # the checkpoint file was never read
+        entry = store.get(relation.fingerprint(), KIND_CTANE_CHECKPOINT, self.PARAMS)
+        assert unpack_ctane_checkpoint(entry)["size"] == 3
+
+        survivor = Profiler(relation)
+        survivor.attach_store(store)
+        result = survivor.run(self.REQUEST)
+        assert result.stats.extras["resumed_level"] == 3
+
+
 class TestProfilerResume:
     REQUEST = DiscoveryRequest(min_support=2, algorithm="ctane")
 
@@ -158,11 +353,8 @@ class TestProfilerResume:
         victim.attach_store(store)
         with pytest.raises(FaultInjected):
             victim.run(self.REQUEST)
-        # The durable checkpoint was persisted before the crash point.
-        assert any(
-            entry.kind == "ctane_checkpoint"
-            for entry in store.load_all(fresh_relation().fingerprint())
-        )
+        # The checkpoint was persisted before the crash point.
+        assert len(checkpoint_files(store, fresh_relation())) == 1
 
         survivor = Profiler(fresh_relation())
         survivor.attach_store(store)
@@ -171,11 +363,8 @@ class TestProfilerResume:
         extras = result.stats.extras
         assert extras["resume_levels_skipped"] >= 1
         assert extras["resumed_level"] >= 2
-        # Completion cleared the durable checkpoint.
-        assert not any(
-            entry.kind == "ctane_checkpoint"
-            for entry in store.load_all(fresh_relation().fingerprint())
-        )
+        # Completion cleared the persisted checkpoint.
+        assert checkpoint_files(store, fresh_relation()) == []
 
     def test_in_memory_resume_without_a_store(self):
         plan = FaultPlan.from_specs(["engine.level:error:after=1,times=1"])
