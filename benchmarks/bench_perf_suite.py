@@ -9,9 +9,10 @@ Ten sections, re-measured on every run so the numbers never rot:
    (:mod:`repro.relational._reference`).  The reported speedup is the
    substrate's improvement over the reference, i.e. over the pre-change
    baseline.
-2. **CTANE partition ablation** — end-to-end CTANE with incremental pattern
-   partitions (the default) against ``incremental_partitions=False`` (the
-   pre-change per-candidate matrix re-scans), at a fixed support.
+2. **Bare CTANE** — end-to-end ``CTane.discover`` at a fixed support, the
+   engine rung the other sections build on.  (The incremental-partition
+   ablation this section used to run, against the per-candidate matrix
+   re-scans since deleted, is kept in ``recorded_seed_baseline``.)
 3. **End-to-end discovery** — CFDMiner, CTANE and FastCFD on generated Tax
    data across a support sweep, the trajectory future PRs compare against.
 4. **Serving throughput** — a mixed batch of requests (two algorithms × a
@@ -136,25 +137,16 @@ def bench_partitions(db_size: int, arity: int, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# section 2: CTANE incremental-partition ablation
+# section 2: bare CTANE
 # ---------------------------------------------------------------------- #
-def bench_ctane_ablation(db_size: int, support: int, repeats: int) -> dict:
+def bench_ctane(db_size: int, support: int, repeats: int) -> dict:
     relation = tax_relation(db_size, seed=3)
-    incremental = time_best(
-        lambda: CTane(relation, support).discover(), repeats
-    )
-    legacy = time_best(
-        lambda: CTane(relation, support, incremental_partitions=False).discover(),
-        repeats,
-    )
-    n_cfds = len(CTane(relation, support).discover())
+    seconds = time_best(lambda: CTane(relation, support).discover(), repeats)
     return {
         "db_size": db_size,
         "support": support,
-        "incremental_s": incremental,
-        "legacy_s": legacy,
-        "speedup": legacy / incremental,
-        "n_cfds": n_cfds,
+        "seconds": seconds,
+        "n_cfds": len(CTane(relation, support).discover()),
     }
 
 
@@ -828,7 +820,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     micro = bench_partitions(micro_rows, 7, repeats)
-    ablation = bench_ctane_ablation(ablation_db, ablation_k, max(1, repeats - 1))
+    ctane = bench_ctane(ablation_db, ablation_k, max(1, repeats - 1))
     end_to_end = bench_end_to_end(e2e_db, supports, max(1, repeats - 1))
     serving = bench_serving(
         serving_db, serving_supports, workers=4, repeats=max(1, repeats - 1)
@@ -859,7 +851,7 @@ def main(argv=None) -> int:
         **machine_info(),
         "total_seconds": round(time.perf_counter() - started, 3),
         "micro": micro,
-        "ctane_partition_ablation": ablation,
+        "ctane": ctane,
         "end_to_end": end_to_end,
         "serving": serving,
         "persistence": persistence,
@@ -877,6 +869,15 @@ def main(argv=None) -> int:
             "ctane_2000_k20_s": 1.136,
             "fastcfd_2000_k20_s": 0.646,
             "cfdminer_2000_k20_s": 0.042,
+            # The CTANE incremental-partition ablation (db_size=2000, k=20)
+            # as last measured before the per-candidate re-scan path was
+            # deleted: incremental partitions were 1.48x faster.
+            "ctane_partition_ablation": {
+                "incremental_s": 0.7012,
+                "legacy_s": 1.0405,
+                "speedup": 1.484,
+                "n_cfds": 730,
+            },
         },
     }
     write_report(document, args.output)
@@ -892,10 +893,8 @@ def main(argv=None) -> int:
     print(render_rows(
         micro_rows_table, ["benchmark", "label_array_s", "reference_s", "speedup"]
     ))
-    print(f"\nCTANE ablation (db={ablation['db_size']}, k={ablation['support']}): "
-          f"incremental {ablation['incremental_s']:.3f}s vs "
-          f"legacy {ablation['legacy_s']:.3f}s "
-          f"({ablation['speedup']:.2f}x, {ablation['n_cfds']} CFDs)")
+    print(f"\nbare CTANE (db={ctane['db_size']}, k={ctane['support']}): "
+          f"{ctane['seconds']:.3f}s ({ctane['n_cfds']} CFDs)")
     print("\nend-to-end discovery:")
     print(render_rows(
         end_to_end, ["algorithm", "db_size", "support", "seconds", "n_cfds"]

@@ -35,6 +35,7 @@ from repro.api.request import DiscoveryRequest
 from repro.api.result import AlgorithmStats, DiscoveryResult
 from repro.core.cfd import CFD
 from repro.core.fastcfd import ClosedSetDifferenceSets, PartitionDifferenceSets
+from repro.core.pattern import WILDCARD_CODE
 from repro.devtools.lockcheck import RANK_SESSION, ranked_lock
 from repro.exceptions import DiscoveryError
 from repro.itemsets.mining import FreeClosedResult, mine_free_and_closed
@@ -396,7 +397,8 @@ class Profiler:
         """The cached CTANE pattern partition ``Π(X, sp)`` for an element key.
 
         ``key`` is the lattice element ``(attribute_indices, pattern_codes)``
-        with integer codes and :data:`~repro.core.pattern.WILDCARD` entries.
+        with integer value codes and
+        :data:`~repro.core.pattern.WILDCARD_CODE` (``-1``) for ``_``.
         Pattern partitions are support-independent, so a sweep at a new
         threshold re-reads the partitions mined by earlier runs.
         """
@@ -406,19 +408,29 @@ class Profiler:
             return partition
 
     def store_pattern_partition(self, key: Tuple, partition: "Partition") -> bool:
-        """Record a derived pattern partition; ``False`` if the budget is full.
+        """Record one derived pattern partition; ``False`` if the budget is
+        full (see :meth:`store_pattern_partitions`)."""
+        return self.store_pattern_partitions({key: partition})
 
-        The cache is bounded by :data:`PATTERN_PARTITION_BUDGET_BYTES`;
-        beyond it new partitions are simply not retained (CTANE keeps its own
-        per-run references, so refusing an insert never affects results).
+    def store_pattern_partitions(self, partitions: Dict[Tuple, "Partition"]) -> bool:
+        """Record a batch of derived pattern partitions (CTANE writes one per
+        lattice level); ``False`` if the budget refused the batch.
+
+        The lock is taken and the budget checked once per batch.  The cache
+        is bounded by :data:`PATTERN_PARTITION_BUDGET_BYTES`; a batch that
+        would overflow it is simply not retained (CTANE keeps its own per-run
+        references, so refusing an insert never affects results).
         """
         with self._lock:
-            if key in self._pattern_partitions:
-                return True
-            nbytes = partition.nbytes
+            fresh = {
+                key: partition
+                for key, partition in partitions.items()
+                if key not in self._pattern_partitions
+            }
+            nbytes = sum(partition.nbytes for partition in fresh.values())
             if self._pattern_bytes + nbytes > PATTERN_PARTITION_BUDGET_BYTES:
                 return False
-            self._pattern_partitions[key] = partition
+            self._pattern_partitions.update(fresh)
             self._pattern_bytes += nbytes
             return True
 
@@ -615,7 +627,6 @@ class Profiler:
         (pending futures) are skipped.  Raises
         :class:`~repro.exceptions.CacheStoreError` on write failures.
         """
-        from repro.core.pattern import is_wildcard
         from repro.serve import store as sf
 
         fingerprint = self._relation.fingerprint()
@@ -673,7 +684,7 @@ class Profiler:
             for (attrs, codes), partition in patterns.items():
                 json_key = [
                     [int(a) for a in attrs],
-                    [None if is_wildcard(c) else int(c) for c in codes],
+                    [None if c == WILDCARD_CODE else int(c) for c in codes],
                 ]
                 items.append((json_key, partition))
             with store.lock(fingerprint, sf.KIND_PATTERN_PARTITIONS):
@@ -780,7 +791,6 @@ class Profiler:
         damaged store can never fail a request.  Structures the session
         already holds are left untouched.
         """
-        from repro.core.pattern import WILDCARD
         from repro.serve import store as sf
 
         fingerprint = self._relation.fingerprint()
@@ -811,7 +821,7 @@ class Profiler:
                         key = (
                             tuple(int(a) for a in attrs),
                             tuple(
-                                WILDCARD if code is None else int(code)
+                                WILDCARD_CODE if code is None else int(code)
                                 for code in codes
                             ),
                         )
@@ -965,16 +975,14 @@ class _CTaneCheckpoint:
                 SPAN_ENGINE_CHECKPOINT, level=state.get("size")
             ) as span:
                 try:
-                    packed = sf.pack_ctane_checkpoint(state)
-                    if packed is not None:
-                        meta, arrays = packed
-                        store.put(
-                            profiler._relation.fingerprint(),
-                            sf.KIND_CTANE_CHECKPOINT,
-                            self._params,
-                            meta=meta,
-                            arrays=arrays,
-                        )
+                    meta, arrays = sf.pack_ctane_checkpoint(state)
+                    store.put(
+                        profiler._relation.fingerprint(),
+                        sf.KIND_CTANE_CHECKPOINT,
+                        self._params,
+                        meta=meta,
+                        arrays=arrays,
+                    )
                 except CacheStoreError:
                     # Resume stays in-memory only; the run must not fail.
                     span.set_status("error", error="CacheStoreError")

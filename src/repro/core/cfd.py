@@ -16,16 +16,29 @@ equal.  Semantics (satisfaction, support, violations) live in
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Hashable,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.pattern import (
     WILDCARD,
+    WILDCARD_CODE,
     PatternTuple,
     PatternValue,
     is_wildcard,
     pattern_str,
 )
 from repro.exceptions import DependencyError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational.relation import Relation
 
 
 class CFD:
@@ -316,6 +329,35 @@ def cfd_from_fd(lhs: Sequence[str], rhs: str) -> CFD:
     return CFD(lhs, tuple(WILDCARD for _ in lhs), rhs, WILDCARD)
 
 
+def cfd_from_codes(
+    relation: "Relation",
+    lhs_attrs: Sequence[int],
+    lhs_codes: Sequence[int],
+    rhs: int,
+    rhs_code: int,
+) -> CFD:
+    """Decode an integer-coded CFD of ``relation`` into a :class:`CFD`.
+
+    Attributes are schema indices and pattern values are the relation's
+    value codes, :data:`~repro.core.pattern.WILDCARD_CODE` standing for
+    ``_``.  This is the engines' one decode boundary.
+    """
+    schema = relation.schema
+    encoding = relation.encoding
+
+    def value(attribute: int, code: int) -> PatternValue:
+        if code == WILDCARD_CODE:
+            return WILDCARD
+        return encoding.decode_value(attribute, code)
+
+    return CFD(
+        tuple(schema.name_of(a) for a in lhs_attrs),
+        tuple(value(a, c) for a, c in zip(lhs_attrs, lhs_codes)),
+        schema.name_of(rhs),
+        value(rhs, rhs_code),
+    )
+
+
 def normalise_constant_cfd(cfd: CFD) -> CFD:
     """Normalise a CFD with a constant RHS pattern (Lemma 1 of the paper).
 
@@ -342,6 +384,7 @@ __all__ = [
     "CFD",
     "ConstantCFD",
     "VariableCFD",
+    "cfd_from_codes",
     "cfd_from_fd",
     "normalise_constant_cfd",
 ]

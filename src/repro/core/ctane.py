@@ -16,37 +16,42 @@ paper's:
 4. generation of the next level by prefix join, keeping only candidates whose
    constant part is k-frequent and whose immediate sub-elements all survived.
 
-Validity is checked directly on the *pattern partition* (every equivalence
-class of the LHS-pattern partition must be constant on the RHS and match the
-RHS pattern); the TANE class-count comparison is not sound for constant RHS
-patterns, see DESIGN.md.
+The lattice is integer-coded from level 1 on (see DESIGN.md, "Lattice
+encoding inside CTANE").  An element is ``(attrs, codes)``: ascending
+attribute indices and the relation's value codes, with
+:data:`~repro.core.pattern.WILDCARD_CODE` (``-1``) for ``_``.  The level-1
+items ``(attribute, code)`` are numbered ``0..m-1`` and every ``C⁺`` is a
+Python int bitset over these item ids, so step 1 is an AND over the parent
+bitsets and a structural mask, step 2(c) two ANDs and step 3 a truthiness
+test.  Each level is sorted once by a generality key built from a per-code
+rank table (wildcards first, then constants in the order of their decimal
+rendering), which fixes the emission order.  Emitted rules stay int tuples
+until :func:`~repro.core.cfd.cfd_from_codes` decodes them at the end of the
+run; pattern objects never enter the traversal.
 
 Pattern partitions are maintained *incrementally*, as Section 4.4 of the
 paper prescribes: every lattice element caches its ``Π(X, sp)`` as a label
 array (:class:`~repro.relational.partition.Partition`), and a level-ℓ element
-derives its partition with a single linear-time :meth:`Partition.product`
-from the partition of its generating level-(ℓ−1) element and the cached
-single-attribute partition of the joined-in ``(attribute, pattern-value)``
-item.  The same partition answers both the k-frequency check of step 4
-(``covered_rows``) and the validity check of step 2, which reduces to O(1)
-count comparisons between the element's partition and its LHS parent's
-(``n_classes`` for a wildcard RHS, ``covered_rows`` for a constant RHS — see
-:meth:`CTane._cfd_valid_partition` and DESIGN.md for the soundness argument),
-so no step re-scans the encoded matrix per candidate.
-``incremental_partitions=False`` restores the original fresh-boolean-mask
-scans; it exists for the perf-benchmark ablation
-(``benchmarks/bench_perf_suite.py``) and as an executable specification.
+derives its partition with a single linear-time refinement or restriction
+from the partition of its generating level-(ℓ−1) element and the joined-in
+``(attribute, pattern-value)`` item.  The same partition answers both the
+k-frequency check of step 4 (``covered_rows``) and the validity check of
+step 2, which reduces to O(1) count comparisons between the element's
+partition and its LHS parent's (``n_classes`` for a wildcard RHS,
+``covered_rows`` for a constant RHS — see :meth:`CTane._cfd_valid` and
+DESIGN.md for the soundness argument), so no step re-scans the encoded
+matrix per candidate.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -54,9 +59,9 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.core.cfd import CFD
+from repro.core.cfd import CFD, cfd_from_codes
 from repro.core.minimality import is_minimal
-from repro.core.pattern import WILDCARD, is_wildcard, pattern_leq
+from repro.core.pattern import WILDCARD_CODE
 from repro.exceptions import DiscoveryError
 from repro.obs.names import SPAN_ENGINE_LEVEL
 from repro.relational.partition import Partition, attribute_partition
@@ -65,9 +70,17 @@ from repro.relational.relation import Relation
 if TYPE_CHECKING:  # pragma: no cover - typing only (import would be circular)
     from repro.api.profiler import Profiler
 
-PatternCode = object  # an int value code or WILDCARD
-Element = Tuple[Tuple[int, ...], Tuple[PatternCode, ...]]
-CandidateItem = Tuple[int, PatternCode]
+#: ``(attrs, codes)``: ascending attribute indices and value codes (-1 = ``_``).
+Element = Tuple[Tuple[int, ...], Tuple[int, ...]]
+#: ``(lhs_attrs, lhs_codes, rhs, rhs_code)`` of an emitted CFD.
+Rule = Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
+#: A level-1 item ``(attribute, code)``; its index in the item table is its id.
+Item = Tuple[int, int]
+
+
+def _nothing(codes: Tuple[int, ...]) -> Tuple[()]:
+    """The constant-position picker of an all-wildcard pattern."""
+    return ()
 
 
 class CTane:
@@ -87,12 +100,6 @@ class CTane:
         it off keeps every lattice element alive and emits via definition-level
         minimality checks instead; it exists for the pruning ablation
         benchmark.
-    incremental_partitions:
-        Maintain pattern partitions incrementally across lattice levels (the
-        paper's Section 4.4) and run vectorized validity/support checks on
-        them.  ``False`` restores the original per-candidate matrix re-scans;
-        output is identical either way (the perf suite and the test-suite
-        both assert this).
     verify_minimality:
         Re-check every emitted CFD against the minimality definition and drop
         (and count) any failure.  Off by default; the test-suite validates the
@@ -125,7 +132,6 @@ class CTane:
         *,
         max_lhs_size: Optional[int] = None,
         cplus_pruning: bool = True,
-        incremental_partitions: bool = True,
         verify_minimality: bool = False,
         session: Optional["Profiler"] = None,
         progress: Optional[Callable[[str, int, int], None]] = None,
@@ -143,23 +149,29 @@ class CTane:
         self._min_support = min_support
         self._max_lhs_size = max_lhs_size
         self._cplus_pruning = cplus_pruning
-        self._incremental = incremental_partitions
         self._verify_minimality = verify_minimality
         self._session = session
         self._progress = progress
         self._matrix = relation.encoded_matrix()
+        # Contiguous per-attribute columns: the joins gather from them.
+        self._columns = [
+            np.ascontiguousarray(self._matrix[:, a]) for a in range(relation.arity)
+        ]
         self._arity = relation.arity
         self._n_rows = relation.n_rows
-        # Column masks shared by the legacy scan paths: sibling candidates
-        # with a common constant item reuse one mask instead of recomputing
-        # it per candidate during level generation.
-        self._column_masks: Dict[Tuple[int, int], np.ndarray] = {}
         # Per-attribute code bound (codes are 0..span-1), for the mixed-radix
         # pairing of refine_by_column.
         self._column_spans: List[int] = [
-            int(self._matrix[:, a].max()) + 1 if self._n_rows else 1
-            for a in range(self._arity)
+            int(column.max()) + 1 if self._n_rows else 1 for column in self._columns
         ]
+        # Generality rank of a code, indexed by ``code + 1``: the wildcard
+        # first, then the constants in the order of their decimal rendering
+        # ("c10" sorts before "c2"), the order emission has always followed.
+        self._rank: List[int] = [0] * (max(self._column_spans, default=1) + 1)
+        for position, code in enumerate(
+            sorted(range(len(self._rank) - 1), key=str), start=1
+        ):
+            self._rank[code + 1] = position
         #: statistics filled by :meth:`discover`
         self.candidates_checked = 0
         self.elements_generated = 0
@@ -181,113 +193,62 @@ class CTane:
             "min_support": int(self._min_support),
             "max_lhs_size": self._max_lhs_size,
             "cplus_pruning": bool(self._cplus_pruning),
-            "incremental_partitions": bool(self._incremental),
             "verify_minimality": bool(self._verify_minimality),
         }
 
     # ------------------------------------------------------------------ #
     # the partition substrate
     # ------------------------------------------------------------------ #
-    #: Cap on the number of cached column masks (legacy scan paths only);
-    #: each entry is an n_rows boolean array, so the cache stays bounded even
-    #: at min_support=1 on high-cardinality columns.
-    _MASK_CACHE_LIMIT = 4096
-
-    def _column_mask(self, attribute: int, code: int) -> np.ndarray:
-        """``matrix[:, attribute] == code``, cached per ``(attribute, code)``.
-
-        Sibling candidates sharing a constant item reuse one mask instead of
-        recomputing it.  Only the legacy (non-incremental) scan paths use
-        full-relation masks; the incremental path stores the compressed
-        partitions and compares gathered column values directly.
-        """
-        key = (attribute, code)
-        mask = self._column_masks.get(key)
-        if mask is None:
-            mask = self._matrix[:, attribute] == code
-            if len(self._column_masks) < self._MASK_CACHE_LIMIT:
-                self._column_masks[key] = mask
-        return mask
-
-    def _single_partition(self, attribute: int, code: PatternCode) -> Partition:
-        """``Π({A}, (code,))``, the partition of one level-1 element.
+    def _initial_level(self) -> Tuple[List[Element], Dict[Element, Partition]]:
+        """Level 1 and its partitions: one element per attribute/wildcard
+        and per frequent constant.
 
         Wildcard partitions come from (and warm) the session's shared
-        ``attribute_partition`` cache when one is given.  Constant partitions
-        store only their covered rows (support-sized), so level 1 holds at
-        most one relation's worth of row indices per attribute.  Each level-1
-        element is distinct, so no local memoisation is needed.
+        ``attribute_partition`` cache when one is given; constant partitions
+        store only their covered rows (support-sized) and go through the
+        session's pattern-partition cache, written once for the level.
         """
-        if is_wildcard(code):
-            if self._session is not None:
-                return self._session.attribute_partition((attribute,))
-            return attribute_partition(self._matrix, [attribute])
-        if self._session is not None:
-            key = ((attribute,), (int(code),))
-            cached = self._session.cached_pattern_partition(key)
-            if cached is not None:
-                return cached
-            partition = Partition.from_mask(
-                self._matrix[:, attribute] == int(code), self._n_rows
+        level: List[Element] = []
+        partitions: Dict[Element, Partition] = {}
+        derived: Dict[Element, Partition] = {}
+        session = self._session
+        for attribute in range(self._arity):
+            element: Element = ((attribute,), (WILDCARD_CODE,))
+            level.append(element)
+            partitions[element] = (
+                session.attribute_partition((attribute,))
+                if session is not None
+                else attribute_partition(self._matrix, [attribute])
             )
-            self._session.store_pattern_partition(key, partition)
-            return partition
-        return Partition.from_mask(
-            self._matrix[:, attribute] == int(code), self._n_rows
-        )
+            column = self._columns[attribute]
+            codes, counts = np.unique(column, return_counts=True)
+            for code, count in zip(codes.tolist(), counts.tolist()):
+                if count < self._min_support:
+                    continue
+                element = ((attribute,), (code,))
+                level.append(element)
+                cached = (
+                    session.cached_pattern_partition(element)
+                    if session is not None
+                    else None
+                )
+                if cached is None:
+                    cached = derived[element] = Partition.from_mask(
+                        column == code, self._n_rows
+                    )
+                partitions[element] = cached
+        if session is not None and derived:
+            session.store_pattern_partitions(derived)
+        return level, partitions
 
     # ------------------------------------------------------------------ #
-    # validity and support checks
+    # validity check
     # ------------------------------------------------------------------ #
-    def _constant_support(self, attrs: Sequence[int], pattern: Sequence[PatternCode]) -> int:
-        """Number of tuples matching the constants of ``pattern`` on ``attrs``.
-
-        Legacy scan used by ``incremental_partitions=False``; the incremental
-        path reads ``covered_rows`` off the candidate's partition instead.
-        """
-        mask = np.ones(self._n_rows, dtype=bool)
-        for attribute, code in zip(attrs, pattern):
-            if not is_wildcard(code):
-                mask &= self._column_mask(attribute, int(code))
-        return int(mask.sum())
-
-    def _cfd_valid_scan(
-        self,
-        lhs_attrs: Sequence[int],
-        lhs_pattern: Sequence[PatternCode],
-        rhs: int,
-        rhs_code: PatternCode,
-    ) -> bool:
-        """Legacy validity check: fresh masks and Python grouping per candidate."""
-        mask = np.ones(self._n_rows, dtype=bool)
-        wildcard_attrs: List[int] = []
-        for attribute, code in zip(lhs_attrs, lhs_pattern):
-            if is_wildcard(code):
-                wildcard_attrs.append(attribute)
-            else:
-                mask &= self._column_mask(attribute, int(code))
-        rows = np.nonzero(mask)[0]
-        if rows.size == 0:
-            return True
-        rhs_column = self._matrix[rows, rhs]
-        if not is_wildcard(rhs_code):
-            if not (rhs_column == int(rhs_code)).all():
-                return False
-        if not wildcard_attrs:
-            return bool((rhs_column == rhs_column[0]).all())
-        groups: Dict[Tuple[int, ...], int] = {}
-        keys = self._matrix[np.ix_(rows, wildcard_attrs)]
-        for key, value in zip(map(tuple, keys.tolist()), rhs_column.tolist()):
-            previous = groups.setdefault(key, value)
-            if previous != value:
-                return False
-        return True
-
     @staticmethod
-    def _cfd_valid_partition(
+    def _cfd_valid(
         lhs_counts: Tuple[int, int],
         element_partition: Partition,
-        rhs_code: PatternCode,
+        rhs_code: int,
     ) -> bool:
         """Validity as O(1) count comparisons on cached pattern partitions.
 
@@ -307,105 +268,41 @@ class CTane:
           *not* sound here, see DESIGN.md — the covered counts are.)
         """
         lhs_covered, lhs_classes = lhs_counts
-        if not is_wildcard(rhs_code):
+        if rhs_code != WILDCARD_CODE:
             return lhs_covered == element_partition.covered_rows
         return lhs_classes == element_partition.n_classes
 
     # ------------------------------------------------------------------ #
-    def _decode_cfd(
-        self,
-        lhs_attrs: Sequence[int],
-        lhs_pattern: Sequence[PatternCode],
-        rhs: int,
-        rhs_code: PatternCode,
-    ) -> CFD:
-        schema = self._relation.schema
-        encoding = self._relation.encoding
-        names = tuple(schema.name_of(a) for a in lhs_attrs)
-        values = tuple(
-            WILDCARD if is_wildcard(code) else encoding.decode_value(attribute, int(code))
-            for attribute, code in zip(lhs_attrs, lhs_pattern)
-        )
-        rhs_value = (
-            WILDCARD if is_wildcard(rhs_code) else encoding.decode_value(rhs, int(rhs_code))
-        )
-        return CFD(names, values, schema.name_of(rhs), rhs_value)
-
-    # ------------------------------------------------------------------ #
     # the levelwise traversal
     # ------------------------------------------------------------------ #
-    def _initial_level(self) -> List[Element]:
-        """Level 1: one element per attribute/wildcard and per frequent constant."""
-        level: List[Element] = []
-        for attribute in range(self._arity):
-            level.append(((attribute,), (WILDCARD,)))
-            column = self._matrix[:, attribute]
-            codes, counts = np.unique(column, return_counts=True)
-            for code, count in zip(codes.tolist(), counts.tolist()):
-                if count >= self._min_support:
-                    level.append(((attribute,), (int(code),)))
-        return level
-
-    def _intersect_parent_candidates(
-        self,
-        element: Element,
-        parent_cplus: Dict[Element, Set[CandidateItem]],
-    ) -> Set[CandidateItem]:
-        """Step 1: ``C⁺`` of an element from its immediate sub-elements."""
-        attrs, pattern = element
-        candidate: Optional[Set[CandidateItem]] = None
-        for position in range(len(attrs)):
-            parent = (
-                attrs[:position] + attrs[position + 1:],
-                pattern[:position] + pattern[position + 1:],
-            )
-            parent_set = parent_cplus.get(parent)
-            if parent_set is None:
-                return set()
-            candidate = set(parent_set) if candidate is None else candidate & parent_set
-            if not candidate:
-                return set()
-        assert candidate is not None
-        # Structural constraint (condition 1 of the C+ definition): for an
-        # attribute inside X the only admissible pattern value is sp[A].
-        filtered: Set[CandidateItem] = set()
-        for attribute, code in candidate:
-            if attribute in attrs:
-                if code == pattern[attrs.index(attribute)]:
-                    filtered.add((attribute, code))
-            else:
-                filtered.add((attribute, code))
-        return filtered
-
-    @staticmethod
-    def _generality_rank(element: Element) -> Tuple:
+    def _generality_key(self, element: Element) -> Tuple:
         """Sort key placing more general patterns (more wildcards) first."""
-        attrs, pattern = element
-        constants = sum(0 if is_wildcard(code) else 1 for code in pattern)
-        rendering = tuple(
-            "_" if is_wildcard(code) else f"c{code}" for code in pattern
+        attrs, codes = element
+        rank = self._rank
+        return (
+            attrs,
+            len(codes) - codes.count(WILDCARD_CODE),
+            tuple([rank[code + 1] for code in codes]),
         )
-        return (attrs, constants, rendering)
+
+    def _decode(self, rule: Rule) -> CFD:
+        return cfd_from_codes(self._relation, *rule)
 
     def discover(self) -> List[CFD]:
         """Run CTANE and return the canonical cover of minimal k-frequent CFDs."""
-        results: List[CFD] = []
         if self._n_rows < self._min_support:
             # No pattern (not even the all-wildcard one) can reach the support
             # threshold, so the canonical cover is empty.
-            return results
-        incremental = self._incremental
-        state = None
-        if self._checkpoint is not None:
-            state = self._checkpoint.load()
-            if state is not None and bool(state.get("incremental")) != incremental:
-                state = None  # a checkpoint of the other traversal mode
+            return []
+        results: List[Rule] = []
+        state = self._checkpoint.load() if self._checkpoint is not None else None
         if state is not None:
             # Warm resume: restore the loop frontier the checkpoint captured
             # at the top of level ``size`` — everything before it is done.
             size = int(state["size"])
             level: List[Element] = list(state["level"])
-            parent_cplus: Dict[Element, Set[CandidateItem]] = state["parent_cplus"]
+            items: List[Item] = list(state["items"])
+            parent_cplus: Dict[Element, int] = state["parent_cplus"]
             parent_counts: Dict[Element, Tuple[int, int]] = state["parent_counts"]
             level_partitions: Dict[Element, Partition] = state["level_partitions"]
             results = list(state["results"])
@@ -416,25 +313,24 @@ class CTane:
             self.resumed_level = size
             self.resume_levels_skipped = size - 1
         else:
-            level = self._initial_level()
+            level, level_partitions = self._initial_level()
             self.elements_generated += len(level)
-
+            # The level-1 elements are the items C⁺ sets range over.
+            items = [(attrs[0], codes[0]) for attrs, codes in level]
             empty_element: Element = ((), ())
-            base_candidates: Set[CandidateItem] = set()
-            for attrs, pattern in level:
-                base_candidates.add((attrs[0], pattern[0]))
-            parent_cplus = {empty_element: base_candidates}
-
-            parent_counts = {}
-            level_partitions = {}
-            if incremental:
-                # Π(∅, ()): every row in one class (n_rows ≥ min_support ≥ 1).
-                parent_counts[empty_element] = (self._n_rows, 1)
-                for element in level:
-                    level_partitions[element] = self._single_partition(
-                        element[0][0], element[1][0]
-                    )
+            parent_cplus = {empty_element: (1 << len(items)) - 1}
+            # Π(∅, ()): every row in one class (n_rows ≥ min_support ≥ 1).
+            parent_counts = {empty_element: (self._n_rows, 1)}
+            level.sort(key=self._generality_key)
             size = 1
+
+        # Item ids per attribute (code → id) and the bitset of all items of
+        # each attribute.
+        item_id: List[Dict[int, int]] = [{} for _ in range(self._arity)]
+        attribute_items = [0] * self._arity
+        for index, (attribute, code) in enumerate(items):
+            item_id[attribute][code] = index
+            attribute_items[attribute] |= 1 << index
 
         while level:
             # One span per lattice level: the per-level cost profile is
@@ -457,8 +353,8 @@ class CTane:
                     self._checkpoint.save(
                         {
                             "size": size,
-                            "incremental": incremental,
                             "level": level,
+                            "items": items,
                             "parent_cplus": parent_cplus,
                             "parent_counts": parent_counts,
                             "level_partitions": level_partitions,
@@ -470,70 +366,96 @@ class CTane:
                             },
                         }
                     )
-                # --- Step 1: candidate RHS sets ------------------------------ #
-                cplus: Dict[Element, Set[CandidateItem]] = {}
-                for element in level:
-                    cplus[element] = self._intersect_parent_candidates(element, parent_cplus)
-
-                # Group elements by attribute set: the step-2(c) update only ever
-                # touches elements with the same attribute set.
+                # The bitset of every item whose attribute is in X, per X:
+                # step 1 masks with it, step 2(c) prunes to it.
+                attrs_items: Dict[Tuple[int, ...], int] = {}
+                # Group elements by attribute set: the step-2(c) update only
+                # ever touches elements with the same attribute set.
                 by_attrs: Dict[Tuple[int, ...], List[Element]] = {}
                 for element in level:
-                    by_attrs.setdefault(element[0], []).append(element)
+                    attrs = element[0]
+                    group = by_attrs.get(attrs)
+                    if group is None:
+                        group = by_attrs[attrs] = []
+                        mask = 0
+                        for attribute in attrs:
+                            mask |= attribute_items[attribute]
+                        attrs_items[attrs] = mask
+                    group.append(element)
+
+                # --- Step 1: candidate RHS sets ------------------------------ #
+                cplus: Dict[Element, int] = {}
+                for element in level:
+                    attrs, codes = element
+                    candidates = -1
+                    for position in range(len(attrs)):
+                        candidates &= parent_cplus.get(
+                            (
+                                attrs[:position] + attrs[position + 1:],
+                                codes[:position] + codes[position + 1:],
+                            ),
+                            0,
+                        )
+                        if not candidates:
+                            break
+                    if candidates:
+                        # Structural constraint (condition 1 of the C⁺
+                        # definition): for an attribute inside X the only
+                        # admissible pattern value is sp[A].
+                        own = 0
+                        for attribute, code in zip(attrs, codes):
+                            own |= 1 << item_id[attribute][code]
+                        candidates &= ~attrs_items[attrs] | own
+                    cplus[element] = candidates
 
                 # --- Step 2: validity checks and emission -------------------- #
-                for element in sorted(level, key=self._generality_rank):
-                    attrs, pattern = element
-                    candidates = cplus[element]
-                    if not candidates:
+                for element in level:
+                    if not cplus[element]:
                         continue
+                    attrs, codes = element
                     for position, rhs in enumerate(attrs):
-                        rhs_code = pattern[position]
-                        if (rhs, rhs_code) not in candidates:
+                        rhs_code = codes[position]
+                        bit = 1 << item_id[rhs][rhs_code]
+                        if not cplus[element] & bit:
                             continue
                         lhs_attrs = attrs[:position] + attrs[position + 1:]
-                        lhs_pattern = pattern[:position] + pattern[position + 1:]
+                        lhs_codes = codes[:position] + codes[position + 1:]
                         self.candidates_checked += 1
-                        if incremental:
-                            # The LHS element is an immediate sub-element, so its
-                            # counts are in the previous level's table.
-                            valid = self._cfd_valid_partition(
-                                parent_counts[(lhs_attrs, lhs_pattern)],
-                                level_partitions[element],
-                                rhs_code,
-                            )
-                        else:
-                            valid = self._cfd_valid_scan(
-                                lhs_attrs, lhs_pattern, rhs, rhs_code
-                            )
-                        if not valid:
+                        # The LHS element is an immediate sub-element, so its
+                        # counts are in the previous level's table.
+                        if not self._cfd_valid(
+                            parent_counts[(lhs_attrs, lhs_codes)],
+                            level_partitions[element],
+                            rhs_code,
+                        ):
                             continue
-                        cfd = self._decode_cfd(lhs_attrs, lhs_pattern, rhs, rhs_code)
+                        rule: Rule = (lhs_attrs, lhs_codes, rhs, rhs_code)
                         if self._verify_minimality and not is_minimal(
-                            self._relation, cfd, k=self._min_support
+                            self._relation, self._decode(rule), k=self._min_support
                         ):
                             self.non_minimal_dropped += 1
                         else:
-                            results.append(cfd)
+                            results.append(rule)
                         # Step 2(c): prune the candidate sets of this element and
                         # of every element with the same attributes, an identical
                         # RHS pattern value and a more specific LHS pattern.
+                        # "More specific" means equal on every constant
+                        # position of sp, compared as one picked tuple.
+                        keep = ~bit
+                        if self._cplus_pruning:
+                            keep &= attrs_items[attrs]
+                        constants = [
+                            i for i, code in enumerate(codes) if code != WILDCARD_CODE
+                        ]
+                        pick = itemgetter(*constants) if constants else _nothing
+                        wanted = pick(codes)
                         for other in by_attrs[attrs]:
-                            other_pattern = other[1]
-                            if other_pattern[position] != rhs_code:
-                                continue
-                            if not all(
-                                pattern_leq(other_pattern[i], pattern[i])
-                                for i in range(len(attrs))
-                                if i != position
+                            other_codes = other[1]
+                            if (
+                                other_codes[position] == rhs_code
+                                and pick(other_codes) == wanted
                             ):
-                                continue
-                            other_candidates = cplus[other]
-                            other_candidates.discard((rhs, rhs_code))
-                            if self._cplus_pruning:
-                                for item in list(other_candidates):
-                                    if item[0] not in attrs:
-                                        other_candidates.discard(item)
+                                cplus[other] &= keep
 
                 # --- Step 3: prune elements with empty candidate sets -------- #
                 if self._cplus_pruning:
@@ -542,121 +464,100 @@ class CTane:
                 # --- Step 4: generate the next level ------------------------- #
                 if self._max_lhs_size is not None and size > self._max_lhs_size:
                     break
-                level_index = set(level)
-                next_level: Set[Element] = set()
-                next_partitions: Dict[Element, Partition] = {}
-                prefixes: Dict[Tuple, List[Element]] = {}
-                for element in level:
-                    attrs, pattern = element
-                    key = (attrs[:-1], tuple(map(self._code_key, pattern[:-1])))
-                    prefixes.setdefault(key, []).append(element)
-                for bucket in prefixes.values():
-                    bucket_sorted = sorted(
-                        bucket, key=lambda e: (e[0][-1], self._code_key(e[1][-1]))
-                    )
-                    for i, (x_attrs, x_pattern) in enumerate(bucket_sorted):
-                        for y_attrs, y_pattern in bucket_sorted[i + 1:]:
-                            if x_attrs[-1] == y_attrs[-1]:
-                                continue  # same attribute, different value: no join
-                            z_attrs = x_attrs + (y_attrs[-1],)
-                            z_pattern = x_pattern + (y_pattern[-1],)
-                            candidate: Element = (z_attrs, z_pattern)
-                            if candidate in next_level:
-                                continue
-                            if incremental:
-                                # A session caches pattern partitions across runs
-                                # (they are support-independent), so a warmed
-                                # sweep skips the derivation below entirely.
-                                cached = (
-                                    self._session.cached_pattern_partition(candidate)
-                                    if self._session is not None
-                                    else None
-                                )
-                                if cached is not None:
-                                    if cached.covered_rows < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    next_partitions[candidate] = cached
-                                    next_level.add(candidate)
-                                    continue
-                                # Section 4.4: Π(Z, sp) derives from the
-                                # generating element's cached Π(X, sp) by joining
-                                # in the single new item — a class split for a
-                                # wildcard, a row restriction for a constant.
-                                # The constant support (the covered rows after a
-                                # restriction) is checked before paying for the
-                                # class relabelling.
-                                x_partition = level_partitions[(x_attrs, x_pattern)]
-                                y_attr = y_attrs[-1]
-                                y_code = y_pattern[-1]
-                                if is_wildcard(y_code):
-                                    if x_partition.covered_rows < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    partition = x_partition.refine_by_column(
-                                        self._matrix[:, y_attr],
-                                        self._column_spans[y_attr],
-                                    )
-                                else:
-                                    keep = (
-                                        self._matrix[x_partition.covered_index, y_attr]
-                                        == int(y_code)
-                                    )
-                                    if int(np.count_nonzero(keep)) < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    partition = x_partition.restrict(keep)
-                                if self._session is not None:
-                                    self._session.store_pattern_partition(
-                                        candidate, partition
-                                    )
-                                next_partitions[candidate] = partition
-                            else:
-                                if (
-                                    self._constant_support(z_attrs, z_pattern)
-                                    < self._min_support
-                                ):
-                                    continue
-                                if not self._all_parents_present(candidate, level_index):
-                                    continue
-                            next_level.add(candidate)
-                self.elements_generated += len(next_level)
+                next_partitions = self._next_level(level, level_partitions)
+                self.elements_generated += len(next_partitions)
                 parent_cplus = cplus
-                if incremental:
-                    parent_counts = {
-                        element: (partition.covered_rows, partition.n_classes)
-                        for element, partition in level_partitions.items()
-                    }
-                    level_partitions = next_partitions
-                level = sorted(next_level, key=self._generality_rank)
+                parent_counts = {
+                    element: (partition.covered_rows, partition.n_classes)
+                    for element, partition in level_partitions.items()
+                }
+                level_partitions = next_partitions
+                level = sorted(next_partitions, key=self._generality_key)
                 size += 1
         if self._checkpoint is not None:
             self._checkpoint.clear()  # the run completed: nothing to resume
-        return results
+        return [self._decode(rule) for rule in results]
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _code_key(code: PatternCode) -> Tuple[int, int]:
-        """A total order on pattern codes (wildcard first, then constants)."""
-        return (0, -1) if is_wildcard(code) else (1, int(code))
+    def _next_level(
+        self, level: List[Element], level_partitions: Dict[Element, Partition]
+    ) -> Dict[Element, Partition]:
+        """Step 4: the next level's elements, each with its ``Π(Z, sp)``.
+
+        Candidates come from a prefix join; one survives when its constant
+        part is k-frequent and every immediate sub-element is in ``level``.
+        """
+        session = self._session
+        level_index: Set[Element] = set(level)
+        next_partitions: Dict[Element, Partition] = {}
+        derived: Dict[Element, Partition] = {}
+        prefixes: Dict[Element, List[Element]] = {}
+        for element in level:
+            attrs, codes = element
+            prefixes.setdefault((attrs[:-1], codes[:-1]), []).append(element)
+        for bucket in prefixes.values():
+            bucket.sort(key=lambda e: (e[0][-1], e[1][-1]))
+            for i, x in enumerate(bucket):
+                x_attrs, x_codes = x
+                for y_attrs, y_codes in bucket[i + 1:]:
+                    y_attr = y_attrs[-1]
+                    if x_attrs[-1] == y_attr:
+                        continue  # same attribute, different value: no join
+                    y_code = y_codes[-1]
+                    candidate: Element = (x_attrs + (y_attr,), x_codes + (y_code,))
+                    # A session caches pattern partitions across runs (they
+                    # are support-independent), so a warmed sweep skips the
+                    # derivation below entirely.
+                    cached = (
+                        session.cached_pattern_partition(candidate)
+                        if session is not None
+                        else None
+                    )
+                    if cached is not None:
+                        if cached.covered_rows < self._min_support:
+                            continue
+                        if not self._parents_present(candidate, level_index):
+                            continue
+                        next_partitions[candidate] = cached
+                        continue
+                    # Section 4.4: Π(Z, sp) derives from the generating
+                    # element's cached Π(X, sp) by joining in the single new
+                    # item — a class split for a wildcard, a row restriction
+                    # for a constant.  The constant support (the covered rows
+                    # after a restriction) is checked before paying for the
+                    # class relabelling.
+                    x_partition = level_partitions[x]
+                    if y_code == WILDCARD_CODE:
+                        if x_partition.covered_rows < self._min_support:
+                            continue
+                        if not self._parents_present(candidate, level_index):
+                            continue
+                        partition = x_partition.refine_by_column(
+                            self._columns[y_attr], self._column_spans[y_attr]
+                        )
+                    else:
+                        keep = self._columns[y_attr][x_partition.covered_index] == y_code
+                        if int(np.count_nonzero(keep)) < self._min_support:
+                            continue
+                        if not self._parents_present(candidate, level_index):
+                            continue
+                        partition = x_partition.restrict(keep)
+                    next_partitions[candidate] = derived[candidate] = partition
+        if session is not None and derived:
+            session.store_pattern_partitions(derived)
+        return next_partitions
 
     @staticmethod
-    def _all_parents_present(candidate: Element, level_index: Set[Element]) -> bool:
-        """Step 4(b)(iii): every immediate sub-element must be in the level."""
-        attrs, pattern = candidate
-        for position in range(len(attrs)):
+    def _parents_present(candidate: Element, level_index: Set[Element]) -> bool:
+        """Step 4(b)(iii): every immediate sub-element must be in the level.
+
+        The last two positions drop back to the two joined elements, which
+        are in the level by construction, so only the others are looked up.
+        """
+        attrs, codes = candidate
+        for position in range(len(attrs) - 2):
             parent = (
                 attrs[:position] + attrs[position + 1:],
-                pattern[:position] + pattern[position + 1:],
+                codes[:position] + codes[position + 1:],
             )
             if parent not in level_index:
                 return False

@@ -57,9 +57,9 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.core.cfd import CFD
+from repro.core.cfd import CFD, cfd_from_codes
 from repro.core.cfdminer import CFDMiner
-from repro.core.pattern import WILDCARD
+from repro.core.pattern import WILDCARD_CODE
 from repro.core.validation import satisfies
 from repro.exceptions import DiscoveryError
 from repro.fd.covers import minimal_covers
@@ -309,7 +309,7 @@ class DFD:
             return attribute_partition(self._matrix, list(attrs))
         code_of: Dict[int, int] = dict(zip(x_attrs, x_codes))
         attrs = tuple(sorted(x_attrs + node.as_tuple))
-        codes = tuple(code_of.get(attr, WILDCARD) for attr in attrs)
+        codes = tuple(code_of.get(attr, WILDCARD_CODE) for attr in attrs)
         key = (attrs, codes)
         if self._session is not None:
             cached = self._session.cached_pattern_partition(key)
@@ -326,34 +326,27 @@ class DFD:
     def _build_constant_cfd(
         self, items: EncodedItemSet, rhs: int, rhs_code: int
     ) -> CFD:
-        schema = self._relation.schema
-        encoding = self._relation.encoding
-        lhs_sorted = sorted(items)
-        lhs_names = tuple(schema.name_of(index) for index, _ in lhs_sorted)
-        lhs_values = tuple(
-            encoding.decode_value(index, code) for index, code in lhs_sorted
-        )
-        return CFD(
-            lhs_names,
-            lhs_values,
-            schema.name_of(rhs),
-            encoding.decode_value(rhs, rhs_code),
+        lhs = sorted(items)
+        return cfd_from_codes(
+            self._relation,
+            [index for index, _ in lhs],
+            [code for _, code in lhs],
+            rhs,
+            rhs_code,
         )
 
     def _build_variable_cfd(
         self, items: EncodedItemSet, cover: AttrSet, rhs: int
     ) -> CFD:
-        schema = self._relation.schema
-        encoding = self._relation.encoding
-        lhs_names: List[str] = []
-        lhs_pattern: List[object] = []
-        for index, code in sorted(items):
-            lhs_names.append(schema.name_of(index))
-            lhs_pattern.append(encoding.decode_value(index, code))
-        for index in cover:
-            lhs_names.append(schema.name_of(index))
-            lhs_pattern.append(WILDCARD)
-        return CFD(tuple(lhs_names), tuple(lhs_pattern), schema.name_of(rhs), WILDCARD)
+        lhs = sorted(items)
+        wildcards = list(cover)
+        return cfd_from_codes(
+            self._relation,
+            [index for index, _ in lhs] + wildcards,
+            [code for _, code in lhs] + [WILDCARD_CODE] * len(wildcards),
+            rhs,
+            WILDCARD_CODE,
+        )
 
 
 class _LatticeWalk:

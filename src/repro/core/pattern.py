@@ -52,6 +52,12 @@ WILDCARD = _Wildcard()
 
 PatternValue = Union[Hashable, _Wildcard]
 
+#: The integer code of ``_`` where patterns are held as encoded value codes
+#: (value codes are ``0..n-1``): CTANE's lattice, pattern-partition keys and
+#: the store's checkpoint arrays.  :func:`repro.core.cfd.cfd_from_codes`
+#: decodes it back to :data:`WILDCARD`.
+WILDCARD_CODE = -1
+
 
 def is_wildcard(value: object) -> bool:
     """``True`` iff ``value`` is the unnamed variable ``_``."""
@@ -249,6 +255,7 @@ class PatternTuple:
 
 __all__ = [
     "WILDCARD",
+    "WILDCARD_CODE",
     "PatternValue",
     "PatternTuple",
     "is_wildcard",

@@ -1,4 +1,4 @@
-"""The REP001–REP009 invariant rules (``repro.devtools.rules``).
+"""The REP001–REP010 invariant rules (``repro.devtools.rules``).
 
 Each rule encodes one invariant DESIGN.md states in prose.  Rules are
 path-scoped (see :class:`~repro.devtools.lint.Rule`), so the same code
@@ -22,6 +22,8 @@ fires on ``src/repro`` and on the fixture trees under
 | REP008 | arrays serialized into the CacheStore use allowlisted dtypes     |
 | REP009 | span names come from the ``repro.obs.names`` registry and match  |
 |        | ``repro.[a-z0-9_.]+``; DESIGN.md's span taxonomy tracks the set  |
+| REP010 | ``core/ctane.py`` stays integer-coded: no pattern objects         |
+|        | (``WILDCARD``, ``is_wildcard``, ``pattern_leq``, ``PatternTuple``) |
 """
 
 from __future__ import annotations
@@ -1068,6 +1070,44 @@ class SpanNamesRule(Rule):
         return findings
 
 
+# --------------------------------------------------------------------- #
+# REP010 — CTANE lattice encoding
+# --------------------------------------------------------------------- #
+_PATTERN_OBJECTS = frozenset({"WILDCARD", "is_wildcard", "pattern_leq", "PatternTuple"})
+
+
+class EngineEncodingRule(Rule):
+    id = "REP010"
+    name = "engine-encoding"
+    summary = (
+        "core/ctane.py must not import or reference the pattern objects "
+        "WILDCARD/is_wildcard/pattern_leq/PatternTuple: its lattice is "
+        "integer-coded (-1 = wildcard) and decodes only via cfd_from_codes"
+    )
+    scope = ("*/core/ctane.py",)
+
+    def check(self, ctx: FileContext) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            for name in names:
+                if name in _PATTERN_OBJECTS:
+                    findings.append(
+                        self.finding(
+                            ctx,
+                            node,
+                            f"pattern object {name!r} in the CTANE engine; "
+                            "use WILDCARD_CODE and decode with cfd_from_codes",
+                        )
+                    )
+        return findings
+
+
 RULE_CLASSES = (
     LockOrderRule,
     NoBlockingInAsyncRule,
@@ -1078,6 +1118,7 @@ RULE_CLASSES = (
     BroadExceptRule,
     StoreDtypeRule,
     SpanNamesRule,
+    EngineEncodingRule,
 )
 
 

@@ -57,7 +57,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.pattern import WILDCARD, is_wildcard
+from repro.core.pattern import WILDCARD, WILDCARD_CODE, is_wildcard
 
 
 def _densify(codes: np.ndarray, bound: int) -> Tuple[np.ndarray, int]:
@@ -470,6 +470,10 @@ def attribute_partition(matrix: np.ndarray, attributes: Sequence[int]) -> Partit
     return Partition.from_labels(labels.astype(np.int32), n_rows, count)
 
 
+def _is_wildcard_code(code: object) -> bool:
+    return is_wildcard(code) or code == WILDCARD_CODE
+
+
 def pattern_partition(
     matrix: np.ndarray,
     attributes: Sequence[int],
@@ -485,7 +489,9 @@ def pattern_partition(
         Attribute indices ``X``.
     pattern_codes:
         One entry per attribute of ``X``: either an integer code (constant
-        pattern) or :data:`~repro.core.pattern.WILDCARD`.
+        pattern) or the wildcard, given as
+        :data:`~repro.core.pattern.WILDCARD_CODE` (``-1``, the engines'
+        encoding) or :data:`~repro.core.pattern.WILDCARD`.
 
     Returns
     -------
@@ -501,7 +507,7 @@ def pattern_partition(
     mask = np.ones(n_rows, dtype=bool)
     wildcard_attrs: List[int] = []
     for attr, code in zip(attributes, pattern_codes):
-        if is_wildcard(code):
+        if _is_wildcard_code(code):
             wildcard_attrs.append(attr)
         else:
             mask &= matrix[:, attr] == int(code)
@@ -526,11 +532,12 @@ def matching_rows(
     attributes: Sequence[int],
     pattern_codes: Sequence[object],
 ) -> np.ndarray:
-    """Row indices matching the constants of a pattern (wildcards ignored)."""
+    """Row indices matching the constants of a pattern (wildcards, coded as
+    in :func:`pattern_partition`, ignored)."""
     n_rows = matrix.shape[0]
     mask = np.ones(n_rows, dtype=bool)
     for attr, code in zip(attributes, pattern_codes):
-        if not is_wildcard(code):
+        if not _is_wildcard_code(code):
             mask &= matrix[:, attr] == int(code)
     return np.nonzero(mask)[0]
 

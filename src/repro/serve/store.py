@@ -60,6 +60,7 @@ import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -1078,83 +1079,100 @@ def unpack_engine_result(meta: Dict):
 # ---------------------------------------------------------------------- #
 # pack/unpack: CTANE checkpoints (mid-run lattice frontiers), columnar
 # ---------------------------------------------------------------------- #
-def _codes(values: Iterable[object]) -> np.ndarray:
-    """int32 pattern codes, -1 for the wildcard."""
+def _element_array(elements: Sequence[Tuple], width: int) -> np.ndarray:
+    """int32 ``[n, 2, width]``: each lattice element's attribute row over
+    its pattern-code row (the engine's own integer encoding)."""
+    values = chain.from_iterable(chain.from_iterable(elements))
+    count = 2 * width * len(elements)
+    return np.fromiter(values, dtype=np.int32, count=count).reshape(-1, 2, width)
+
+
+def _elements(array: np.ndarray) -> List[Tuple]:
+    if array.ndim != 3 or array.shape[1] != 2:
+        raise CacheStoreError("checkpoint element array has the wrong shape")
+    return [(tuple(attrs), tuple(codes)) for attrs, codes in array.tolist()]
+
+
+def _rule_matrix(rules: Sequence[Tuple]) -> np.ndarray:
+    """int32 ``[n, 3 + 2w]`` of integer-coded rules ``(lhs_attrs, lhs_codes,
+    rhs, rhs_code)``: LHS length, RHS attribute and code, then the LHS
+    attributes and codes, each zero-padded to the widest LHS ``w``."""
+    width = max((len(rule[0]) for rule in rules), default=0)
+    pad = [0] * width
     return np.array(
-        [-1 if value is WILDCARD else value for value in values], dtype=np.int32
-    )
+        [
+            [len(attrs), rhs, rhs_code, *attrs, *pad[len(attrs):],
+             *codes, *pad[len(codes):]]
+            for attrs, codes, rhs, rhs_code in rules
+        ],
+        dtype=np.int32,
+    ).reshape(len(rules), 3 + 2 * width)
 
 
-def _decode(code: int) -> object:
-    return WILDCARD if code < 0 else code
+def _rules(matrix: np.ndarray) -> List[Tuple]:
+    if matrix.ndim != 2 or matrix.shape[1] < 3 or matrix.shape[1] % 2 == 0:
+        raise CacheStoreError("checkpoint rule matrix has the wrong shape")
+    width = (matrix.shape[1] - 3) // 2
+    rules = []
+    for row in matrix.tolist():
+        n, rhs, rhs_code = row[:3]
+        attrs, codes = row[3:3 + n], row[3 + width:3 + width + n]
+        rules.append((tuple(attrs), tuple(codes), rhs, rhs_code))
+    return rules
 
 
-def _element_matrices(elements: Sequence[Tuple], width: int) -> Tuple[np.ndarray, ...]:
-    """``(attrs, codes)`` int32 matrices ``[n, width]`` of lattice elements
-    that all have ``width`` attributes."""
-    attrs = np.array(
-        [attr for element in elements for attr in element[0]], dtype=np.int32
-    )
-    codes = _codes(code for element in elements for code in element[1])
-    return attrs.reshape(-1, width), codes.reshape(-1, width)
-
-
-def _elements(attrs: np.ndarray, codes: np.ndarray) -> List[Tuple]:
-    if attrs.shape != codes.shape or attrs.ndim != 2:
-        raise CacheStoreError("checkpoint element matrices disagree")
-    return [
-        (tuple(row), tuple(map(_decode, pattern)))
-        for row, pattern in zip(attrs.tolist(), codes.tolist())
-    ]
-
-
-def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndarray]]]:
-    """``(meta, arrays)`` of a CTANE per-level checkpoint, or ``None`` when
-    the already-emitted CFDs carry values that would not survive a JSON
-    round trip byte-identically (then the run simply is not checkpointable).
+def pack_ctane_checkpoint(state: Dict) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """``(meta, arrays)`` of a CTANE per-level checkpoint.
 
     The state is the engine's loop frontier at the top of lattice level
-    ``size``.  Every element of a level has ``size`` attributes, so the
-    layout is columnar: the level is a ``level_attrs``/``level_codes`` int32
-    matrix pair ``[n, size]`` (-1 codes the wildcard), the previous level
-    the same ``parent_*`` pair ``[m, size - 1]`` plus its
-    ``(covered_rows, n_classes)`` rows in ``parent_counts`` and its
-    candidate-RHS sets as flat ``cplus_attrs``/``cplus_codes`` split by
-    ``cplus_offsets``.  The level's partitions (incremental mode) are a
-    ``level_*`` partition bundle in level order, row indices as int32.  The
-    JSON meta holds only scalars, counters and the rules emitted so far.
+    ``size``, already integer-coded, so packing is array conversion:
+
+    * ``level`` int32 ``[n, 2, size]`` and ``parents`` ``[m, 2, size - 1]``:
+      elements as attribute and pattern-code rows (-1 codes the wildcard);
+    * ``parent_counts`` int64 ``[m, 2]``: the parents' ``(covered_rows,
+      n_classes)``;
+    * ``items`` int32 ``[i, 2]``: the level-1 item table ``(attribute,
+      code)`` whose row numbers are the item ids, and the parents' ``C⁺``
+      bitsets as flat ``cplus_items`` ids split by ``cplus_offsets``;
+    * ``rules`` int32: the rules emitted so far (see :func:`_rule_matrix`);
+    * ``level_*``: the level's partitions as a partition bundle in level
+      order, row indices as int32.
+
+    The JSON meta holds only the level and the counters.
     """
-    rules = _pack_rules(state["results"])
-    if rules is None:
-        return None
-    size, incremental = int(state["size"]), bool(state["incremental"])
-    level, parent_cplus = state["level"], state["parent_cplus"]
+    size = int(state["size"])
+    parent_cplus = state["parent_cplus"]
     parents = list(parent_cplus)
-    arrays: Dict[str, np.ndarray] = {}
-    arrays["level_attrs"], arrays["level_codes"] = _element_matrices(level, size)
-    arrays["parent_attrs"], arrays["parent_codes"] = _element_matrices(
-        parents, size - 1
-    )
+    items = state["items"]
     counts = state["parent_counts"]
-    arrays["parent_counts"] = np.array(
-        [counts[parent] for parent in parents] if incremental else [], dtype=np.int64
-    ).reshape(-1, 2)
-    candidate_sets = list(parent_cplus.values())
-    items = [item for candidates in candidate_sets for item in candidates]
-    arrays["cplus_attrs"] = np.array([attr for attr, _ in items], dtype=np.int32)
-    arrays["cplus_codes"] = _codes(code for _, code in items)
-    arrays["cplus_offsets"] = np.cumsum(
-        [0] + [len(candidates) for candidates in candidate_sets], dtype=np.int64
-    )
+    n_bytes = (len(items) + 7) // 8
+    packed = np.frombuffer(
+        b"".join(bits.to_bytes(n_bytes, "little") for bits in parent_cplus.values()),
+        dtype=np.uint8,
+    ).reshape(len(parents), n_bytes)
+    members = np.unpackbits(packed, axis=1, count=len(items), bitorder="little")
+    arrays: Dict[str, np.ndarray] = {
+        "level": _element_array(state["level"], size),
+        "parents": _element_array(parents, size - 1),
+        "parent_counts": np.fromiter(
+            chain.from_iterable(map(counts.__getitem__, parents)),
+            dtype=np.int64,
+            count=2 * len(parents),
+        ).reshape(-1, 2),
+        "items": np.asarray(items, dtype=np.int32).reshape(-1, 2),
+        "cplus_items": np.nonzero(members)[1].astype(np.int32),
+        "cplus_offsets": np.concatenate(
+            [[0], np.cumsum(members.sum(axis=1, dtype=np.int64))]
+        ).astype(np.int64),
+        "rules": _rule_matrix(state["results"]),
+    }
     partitions = state["level_partitions"]
-    bundle = _pack_partitions(partitions[e] for e in (level if incremental else ()))
+    bundle = _pack_partitions(partitions[element] for element in state["level"])
     # Row indices of one relation fit int32: a third fewer bytes per level.
     bundle["rows"] = bundle["rows"].astype(np.int32)
     arrays.update((f"level_{name}", array) for name, array in bundle.items())
     meta = {
         "size": size,
-        "incremental": incremental,
-        "rules": rules,
         "counters": {key: int(value) for key, value in state["counters"].items()},
     }
     return meta, arrays
@@ -1166,42 +1184,44 @@ def unpack_ctane_checkpoint(entry: StoreEntry) -> Dict:
     An entry of any other layout misses a field or an array and raises;
     the caller treats that like any bad checkpoint and starts cold.
     """
-    incremental = bool(entry.meta["incremental"])
-    level = _elements(
-        entry.array("level_attrs", "int32"), entry.array("level_codes", "int32")
-    )
-    parents = _elements(
-        entry.array("parent_attrs", "int32"), entry.array("parent_codes", "int32")
-    )
-    bounds = entry.array("cplus_offsets", "int64").tolist()
-    items = list(
-        zip(
-            entry.array("cplus_attrs", "int32").tolist(),
-            map(_decode, entry.array("cplus_codes", "int32").tolist()),
-        )
-    )
-    if len(bounds) != len(parents) + 1 or bounds[-1] != len(items):
-        raise CacheStoreError("checkpoint candidate sets do not match the parents")
+    level = _elements(entry.array("level", "int32"))
+    parents = _elements(entry.array("parents", "int32"))
+    items = entry.array("items", "int32")
+    ids = entry.array("cplus_items", "int32")
+    bounds = entry.array("cplus_offsets", "int64")
     counts = entry.array("parent_counts", "int64").tolist()
+    if items.ndim != 2 or items.shape[1] != 2:
+        raise CacheStoreError("checkpoint item table has the wrong shape")
+    if (
+        bounds.size != len(parents) + 1
+        or bounds[-1] != ids.size
+        or np.any(np.diff(bounds) < 0)
+        or np.any(ids < 0)
+        or np.any(ids >= len(items))
+    ):
+        raise CacheStoreError("checkpoint candidate sets do not match the parents")
+    members = np.zeros((len(parents), len(items)), dtype=np.uint8)
+    members[np.repeat(np.arange(len(parents)), np.diff(bounds)), ids] = 1
+    packed = np.packbits(members, axis=1, bitorder="little")
     partitions = _unpack_partitions(
         entry.array("level_rows", "int32").astype(np.int64),
         entry.array("level_labels", "int32"),
         entry.array("level_offsets", "int64"),
         entry.array("level_shapes", "int64"),
     )
-    if incremental and (len(counts) != len(parents) or len(partitions) != len(level)):
+    if len(counts) != len(parents) or len(partitions) != len(level):
         raise CacheStoreError("checkpoint partitions do not match the elements")
     return {
         "size": int(entry.meta["size"]),
-        "incremental": incremental,
         "level": level,
+        "items": [tuple(item) for item in items.tolist()],
         "parent_cplus": {
-            parent: set(items[lo:hi])
-            for parent, lo, hi in zip(parents, bounds, bounds[1:])
+            parent: int.from_bytes(row.tobytes(), "little")
+            for parent, row in zip(parents, packed)
         },
         "parent_counts": {parent: tuple(pair) for parent, pair in zip(parents, counts)},
         "level_partitions": dict(zip(level, partitions)),
-        "results": _unpack_rules(entry.meta["rules"]),
+        "results": _rules(entry.array("rules", "int32")),
         "counters": {key: int(value) for key, value in entry.meta["counters"].items()},
     }
 

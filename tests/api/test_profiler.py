@@ -56,6 +56,30 @@ class TestCacheReuse:
         info = profiler.cache_info()
         assert info["attribute_partitions"] == {"hits": 1, "misses": 1, "size": 1}
 
+    def test_pattern_partitions_are_written_per_batch(self, relation, monkeypatch):
+        from repro.api import profiler as profiler_module
+        from repro.relational.partition import pattern_partition
+
+        profiler = Profiler(relation)
+        matrix = relation.encoded_matrix()
+        batch = {
+            ((0, 1), codes): pattern_partition(matrix, (0, 1), codes)
+            for codes in ((-1, -1), (0, -1), (-1, 0))
+        }
+        assert profiler.store_pattern_partitions(batch)
+        assert profiler.cache_info()["pattern_partitions"]["size"] == 3
+        for key, partition in batch.items():
+            assert profiler.cached_pattern_partition(key) is partition
+        # Keys already held cost nothing; a batch that would overflow the
+        # budget is refused whole.
+        assert profiler.store_pattern_partitions(batch)
+        monkeypatch.setattr(profiler_module, "PATTERN_PARTITION_BUDGET_BYTES", 0)
+        key = ((0, 2), (-1, -1))
+        assert not profiler.store_pattern_partitions(
+            {key: pattern_partition(matrix, (0, 2), (-1, -1))}
+        )
+        assert profiler.cached_pattern_partition(key) is None
+
     def test_naivefast_timing_unaffected_by_fastcfd_cache(self, relation):
         """The two FastCFD variants keep separate difference-set providers."""
         profiler = Profiler(relation)

@@ -9,11 +9,11 @@ resume observable in the engine stats and the service counters.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import DiscoveryRequest, Profiler
 from repro.core.ctane import CTane
-from repro.core.pattern import is_wildcard
 from repro.datagen import generate_tax
 from repro.relational.relation import Relation
 from repro.serve import CacheStore, DiscoveryService, FaultPlan, SessionPool
@@ -116,22 +116,6 @@ class TestEngineCheckpointing:
         assert resumed.candidates_checked == full.candidates_checked
         assert resumed.elements_generated == full.elements_generated
 
-    def test_mismatched_incremental_mode_discards_the_checkpoint(self):
-        recorder = RecordingCheckpoint()
-        CTane(
-            fresh_relation(), 2, incremental_partitions=True, checkpoint=recorder
-        ).discover()
-        state = recorder.saved[-1]
-        assert state["incremental"] is True
-        resumed = CTane(
-            fresh_relation(),
-            2,
-            incremental_partitions=False,
-            checkpoint=RecordingCheckpoint(preload=state),
-        )
-        resumed.discover()
-        assert resumed.resumed_level is None  # stale state was not trusted
-
 
 class TestCheckpointSerialization:
     def test_pack_unpack_round_trips_through_the_store(self, tmp_path):
@@ -180,18 +164,21 @@ class TestColumnarCheckpoints:
             params = {"level": index}
             store.put("fp", KIND_CTANE_CHECKPOINT, params, meta=meta, arrays=arrays)
             entry = store.get("fp", KIND_CTANE_CHECKPOINT, params)
-            # The frontier lives in the arrays; the JSON meta carries only
-            # scalars, counters and the rules emitted so far.
-            assert set(entry.meta) == {"size", "incremental", "rules", "counters"}
-            assert len(entry.meta["rules"]) == len(state["results"])
-            assert entry.array("level_attrs", "int32").shape == (
+            # The frontier and the rules emitted so far live in the arrays;
+            # the JSON meta carries only the level and the counters.
+            assert set(entry.meta) == {"size", "counters"}
+            assert len(entry.array("rules", "int32")) == len(state["results"])
+            assert entry.array("level", "int32").shape == (
                 len(state["level"]),
+                2,
                 state["size"],
             )
             restored = unpack_ctane_checkpoint(entry)
             assert restored["size"] == state["size"]
             assert restored["counters"] == state["counters"]
             assert restored["level"] == state["level"]
+            assert restored["items"] == state["items"]
+            assert restored["results"] == state["results"]
             assert restored["parent_cplus"] == state["parent_cplus"]
             assert restored["parent_counts"] == state["parent_counts"]
             twins = restored["level_partitions"]
@@ -214,41 +201,47 @@ class TestColumnarCheckpoints:
             assert resumed.resumed_level == state["size"]
 
 
-def old_layout_entry(state, parent_partitions):
-    """``(meta, arrays)`` of ``state`` in the per-element layout the store
-    wrote before the columnar one (elements and candidate sets as JSON
-    lists, both partition tables as bundles)."""
+def old_layout_entry(state):
+    """``(meta, arrays)`` of ``state`` in the columnar layout the store wrote
+    before the integer-coded one: separate attribute/code matrices,
+    candidate sets as ``(attribute, code)`` pairs and the rules as JSON."""
+    size = state["size"]
+    parents = list(state["parent_cplus"])
+    items = state["items"]
 
-    def code(value):
-        return [1, None] if is_wildcard(value) else [0, int(value)]
+    def matrices(elements, width):
+        attrs = np.array([e[0] for e in elements], dtype=np.int32)
+        codes = np.array([e[1] for e in elements], dtype=np.int32)
+        return attrs.reshape(-1, width), codes.reshape(-1, width)
 
-    def element(value):
-        attrs, pattern = value
-        return [list(attrs), [code(v) for v in pattern]]
-
+    members = [
+        [items[i] for i in range(len(items)) if bits >> i & 1]
+        for bits in state["parent_cplus"].values()
+    ]
+    flat = [item for group in members for item in group]
+    arrays = {}
+    arrays["level_attrs"], arrays["level_codes"] = matrices(state["level"], size)
+    arrays["parent_attrs"], arrays["parent_codes"] = matrices(parents, size - 1)
+    arrays["parent_counts"] = np.array(
+        [state["parent_counts"][p] for p in parents], dtype=np.int64
+    ).reshape(-1, 2)
+    arrays["cplus_attrs"] = np.array([a for a, _ in flat], dtype=np.int32)
+    arrays["cplus_codes"] = np.array([c for _, c in flat], dtype=np.int32)
+    arrays["cplus_offsets"] = np.cumsum(
+        [0] + [len(group) for group in members], dtype=np.int64
+    )
+    bundle_meta, bundle_arrays = pack_partition_bundle(
+        [(None, state["level_partitions"][e]) for e in state["level"]]
+    )
+    bundle_arrays["shapes"] = np.array(bundle_meta["shapes"], dtype=np.int64)
+    bundle_arrays["rows"] = bundle_arrays["rows"].astype(np.int32)
+    arrays.update((f"level_{name}", array) for name, array in bundle_arrays.items())
     meta = {
-        "size": state["size"],
-        "incremental": state["incremental"],
-        "level": [element(e) for e in state["level"]],
-        "parent_cplus": [
-            [element(e), sorted([attr, code(c)] for attr, c in items)]
-            for e, items in state["parent_cplus"].items()
-        ],
+        "size": size,
+        "incremental": True,
         "rules": [],
         "counters": dict(state["counters"]),
     }
-    arrays = {}
-    for prefix, table in (
-        ("p", parent_partitions),
-        ("l", state["level_partitions"]),
-    ):
-        bundle_meta, bundle_arrays = pack_partition_bundle(
-            [(element(e), partition) for e, partition in table.items()]
-        )
-        meta[f"{prefix}_keys"] = bundle_meta["keys"]
-        meta[f"{prefix}_shapes"] = bundle_meta["shapes"]
-        for name, array in bundle_arrays.items():
-            arrays[f"{prefix}_{name}"] = array
     return meta, arrays
 
 
@@ -258,7 +251,6 @@ class TestCheckpointStoreLifecycle:
         "min_support": TAX_SUPPORT,
         "max_lhs_size": None,
         "cplus_pruning": True,
-        "incremental_partitions": True,
         "verify_minimality": False,
     }
 
@@ -294,9 +286,7 @@ class TestCheckpointStoreLifecycle:
 
         recorder = RecordingCheckpoint()
         CTane(tax_relation(), TAX_SUPPORT, checkpoint=recorder).discover()
-        meta, arrays = old_layout_entry(
-            recorder.saved[1], recorder.saved[0]["level_partitions"]
-        )
+        meta, arrays = old_layout_entry(recorder.saved[1])
         fingerprint = tax_relation().fingerprint()
         path = store.put(
             fingerprint, KIND_CTANE_CHECKPOINT, self.PARAMS, meta=meta, arrays=arrays

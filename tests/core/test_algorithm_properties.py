@@ -5,8 +5,10 @@ For random small relations:
 * every CFD emitted by CFDMiner / CTANE / FastCFD / NaiveFast is minimal and
   k-frequent by definition (soundness);
 * CFDMiner's output equals the constant part of the brute-force cover;
-* every minimal k-frequent CFD (brute force) is either in an algorithm's
-  output or implied by it (completeness up to implication — FastCFD omits
+* CTANE's output equals the brute-force cover exactly, on adversarial
+  relations: zero or one row, constant (domain-1) columns;
+* every minimal k-frequent CFD (brute force) is either in FastCFD's output
+  or implied by it (completeness up to implication — FastCFD omits
   variable CFDs that are subsumed by constant CFDs, see DESIGN.md);
 * FastCFD and NaiveFast produce identical covers.
 """
@@ -35,6 +37,22 @@ def small_relations(max_rows: int = 6, n_cols: int = 3, domain: int = 2):
 SUPPORTS = st.integers(min_value=1, max_value=3)
 
 
+@st.composite
+def adversarial_relations(draw, max_rows: int = 8, max_cols: int = 4):
+    """Small relations that include the degenerate shapes: zero and one
+    row, and columns whose domain is a single value (constant columns)."""
+    n_cols = draw(st.integers(1, max_cols))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n_cols, max_size=n_cols))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, d - 1) for d in domains]),
+            min_size=0,
+            max_size=max_rows,
+        )
+    )
+    return Relation.from_rows([f"A{i}" for i in range(n_cols)], rows)
+
+
 @settings(max_examples=25, deadline=None)
 @given(relation=small_relations(), k=SUPPORTS)
 def test_all_algorithms_are_sound(relation, k):
@@ -50,12 +68,14 @@ def test_cfdminer_matches_bruteforce_constants(relation, k):
     assert set(CFDMiner(relation, k).discover()) == expected
 
 
-@settings(max_examples=20, deadline=None)
-@given(relation=small_relations(), k=SUPPORTS)
-def test_ctane_is_complete_up_to_implication(relation, k):
-    cover = set(CTane(relation, k).discover())
-    for cfd in discover_bruteforce(relation, k):
-        assert is_implied_by_cover(cfd, cover), str(cfd)
+@settings(max_examples=100, deadline=None)
+@given(relation=adversarial_relations(), k=SUPPORTS)
+def test_ctane_equals_the_oracle_exactly(relation, k):
+    found = CTane(relation, k).discover()
+    assert len(found) == len(set(found))
+    assert set(found) == discover_bruteforce(relation, k)
+    if relation.n_rows == 0:
+        assert found == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -193,6 +193,27 @@ def test_rep009_registry_matches_design_doc():
 
 
 # --------------------------------------------------------------------- #
+# REP010 engine-encoding
+# --------------------------------------------------------------------- #
+def test_rep010_fires_on_pattern_objects_in_ctane():
+    findings = lint([BAD / "core" / "ctane.py"], "REP010")
+    text = messages(findings)
+    assert len(findings) == 3
+    assert "'WILDCARD'" in text
+    assert "'pattern_leq'" in text
+    assert "'is_wildcard'" in text
+
+
+def test_rep010_quiet_on_good_fixture():
+    assert lint([GOOD / "core" / "ctane.py"], "REP010") == []
+
+
+def test_rep010_is_scoped_to_the_ctane_module():
+    # Other engine modules may use pattern objects at their boundaries.
+    assert lint([BAD / "core" / "engine.py"], "REP010") == []
+
+
+# --------------------------------------------------------------------- #
 # framework behaviour
 # --------------------------------------------------------------------- #
 def test_parse_error_becomes_rep000(tmp_path):
@@ -210,16 +231,16 @@ def test_good_tree_is_clean_under_all_rules():
 def test_bad_tree_fires_every_rule():
     findings = lint([BAD])
     fired = {f.rule for f in findings}
-    expected = {f"REP00{i}" for i in range(1, 10)}
+    expected = {f"REP{i:03d}" for i in range(1, 11)}
     assert expected <= fired
 
 
 def test_ignore_drops_rules():
-    findings = run_lint([BAD], all_rules(), ignore=["REP00%d" % i for i in range(1, 10)])
+    findings = run_lint([BAD], all_rules(), ignore=["REP%03d" % i for i in range(1, 11)])
     assert findings == []
 
 
-@pytest.mark.parametrize("rule_id", [f"REP00{i}" for i in range(1, 10)])
+@pytest.mark.parametrize("rule_id", [f"REP{i:03d}" for i in range(1, 11)])
 def test_each_rule_has_a_failing_fixture(rule_id):
     findings = lint([BAD], rule_id)
     assert findings, f"{rule_id} has no failing fixture"

@@ -128,9 +128,10 @@ class TestPatternPartition:
         )
 
     def test_mixed_pattern(self, matrix):
-        # A = 'a' (code 0), group by B
-        partition = pattern_partition(matrix, [0, 1], [0, WILDCARD])
-        assert partition.classes == ((0, 1), (2,))
+        # A = 'a' (code 0), group by B; -1 is the engines' wildcard code
+        for wildcard in (WILDCARD, -1):
+            partition = pattern_partition(matrix, [0, 1], [0, wildcard])
+            assert partition.classes == ((0, 1), (2,))
 
     def test_no_matching_rows(self, matrix):
         assert pattern_partition(matrix, [0], [99]).n_classes == 0
@@ -140,5 +141,6 @@ class TestPatternPartition:
             pattern_partition(matrix, [0, 1], [0])
 
     def test_matching_rows_ignores_wildcards(self, matrix):
-        rows = matching_rows(matrix, [0, 1], [0, WILDCARD])
-        assert rows.tolist() == [0, 1, 2]
+        for wildcard in (WILDCARD, -1):
+            rows = matching_rows(matrix, [0, 1], [0, wildcard])
+            assert rows.tolist() == [0, 1, 2]
